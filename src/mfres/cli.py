@@ -243,12 +243,16 @@ def _cmd_psd(args, order):
     for key in ("labels", "pairing", "entries"):
         if key not in raw:
             raise CorpusError(f"report is missing {key!r}")
-    try:
-        entries = tuple(tuple(int(v) for v in row) for row in raw["entries"])
-    except (TypeError, ValueError) as exc:
-        raise CorpusError("entries must be integers") from exc
-    g = GramMatrix(labels=tuple(raw["labels"]), pairing=raw["pairing"],
-                   entries=entries)
+    labels, rows = raw["labels"], raw["entries"]
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise CorpusError("labels must be a list of strings")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CorpusError("entries must be a list of rows")
+    # Gram entries are integers: no floats (2.0 included), booleans or strings
+    if any(type(v) is not int for row in rows for v in row):
+        raise CorpusError("entries must be integers")
+    g = GramMatrix(labels=tuple(labels), pairing=raw["pairing"],
+                   entries=tuple(tuple(row) for row in rows))
     if any(len(row) != g.size for row in g.entries) or len(g.entries) != g.size:
         raise CorpusError("entries must form a square matrix over the labels")
     rep = is_positive_semidefinite(g)

@@ -11,8 +11,10 @@ shift swaps the roles, (A, B)[1] = (B, A); the dual transposes both matrices.
 The Hom complex between factorizations (A, B) and (A', B') is again two
 periodic, on Hom(P_even, P'_even) + Hom(P_odd, P'_odd) in even degree and the
 mixed terms in odd degree, with differential d(alpha) = d' alpha - (-1)^|alpha|
-alpha d. Flattening matrix entries row major turns both differentials into
-matrices over Q[x], and homology dimensions reduce to syzygy plus subquotient
+alpha d. Flattening matrix entries row major, vec(M X N) = (M (x) N^T) vec(X),
+turns both differentials into 2 x 2 block matrices of Kronecker products of
+A, B, A', B' with identities (see hom_complex), placed entry by entry from the
+nonzero entries only. Homology dimensions reduce to syzygy plus subquotient
 computations over the polynomial ring. Stable Ext and Tor are read off the
 periodic windows; both are honest Q dimensions, never mod p shortcuts.
 """
@@ -147,16 +149,13 @@ class TwoPeriodicComplex:
                 and (self.d_even_to_odd @ self.d_odd_to_even).is_zero())
 
 
-def _unit_matrix(ring, rows: int, cols: int, i: int, j: int) -> PolyMatrix:
-    zero = Polynomial.zero(ring)
-    one = Polynomial.one(ring)
-    return PolyMatrix(rows, cols,
-                      tuple(one if (r, c) == (i, j) else zero
-                            for r in range(rows) for c in range(cols)))
-
-
-def _flatten_pair(m0: PolyMatrix, m1: PolyMatrix) -> list[Polynomial]:
-    return list(m0.entries) + list(m1.entries)
+def _kron(m: PolyMatrix, s: int, transpose: bool = False):
+    """Nonzero entries (row, col, p) of m (x) I_s, or of I_s (x) m^T if transpose."""
+    for idx, p in enumerate(m.entries):
+        if p:
+            a, b = divmod(idx, m.cols)
+            for t in range(s):
+                yield (t * m.cols + b, t * m.rows + a, p) if transpose else (a * s + t, b * s + t, p)
 
 
 def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPeriodicComplex:
@@ -168,41 +167,35 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
 
         d(alpha_0, alpha_1) = (B' alpha_0 - alpha_1 B, A' alpha_1 - alpha_0 A)
         d(beta_0,  beta_1)  = (A' beta_0 + beta_1 B,  B' beta_1 + beta_0 A).
+
+    Row major, vec(M X N) = (M (x) N^T) vec(X), so with r = rank(left) and
+    r' = rank(right) the two differentials are the block matrices
+
+        even to odd: [[B' (x) I_r, -(I_r' (x) B^T)], [-(I_r' (x) A^T), A' (x) I_r]]
+        odd to even: [[A' (x) I_r,   I_r' (x) B^T ], [  I_r' (x) A^T,  B' (x) I_r]]
+
+    built directly from the nonzero entries of A, B, A', B'. The composites
+    are checked to vanish on every call.
     """
     validate_mf(left)
     validate_mf(right)
     if left.potential != right.potential:
         raise FactorizationError("factorizations have different potentials")
     r, rp = left.rank, right.rank
-    ring = left.ring
-    half = rp * r
-    total = 2 * half
+    half, total = r * rp, 2 * r * rp
+    zero = Polynomial.zero(left.ring)
 
-    even_cols: list[list[Polynomial]] = []
-    odd_cols: list[list[Polynomial]] = []
-    for block in (0, 1):
-        for i in range(rp):
-            for j in range(r):
-                e = _unit_matrix(ring, rp, r, i, j)
-                zero = PolyMatrix(rp, r, tuple(Polynomial.zero(ring) for _ in range(half)))
-                if block == 0:
-                    a0, a1 = e, zero
-                else:
-                    a0, a1 = zero, e
-                # even basis element -> odd image
-                out0 = right.B @ a0 - a1 @ left.B
-                out1 = right.A @ a1 - a0 @ left.A
-                even_cols.append(_flatten_pair(out0, out1))
-                # odd basis element -> even image
-                b0, b1 = a0, a1
-                out0o = right.A @ b0 + b1 @ left.B
-                out1o = right.B @ b1 + b0 @ left.A
-                odd_cols.append(_flatten_pair(out0o, out1o))
+    def differential(blocks) -> PolyMatrix:
+        entries = [zero] * (total * total)
+        for (out, inp), kron in blocks.items():
+            for row, col, p in kron:
+                entries[(out * half + row) * total + inp * half + col] = p
+        return PolyMatrix(total, total, tuple(entries))
 
-    d_eo = PolyMatrix(total, total,
-                      tuple(even_cols[j][i] for i in range(total) for j in range(total)))
-    d_oe = PolyMatrix(total, total,
-                      tuple(odd_cols[j][i] for i in range(total) for j in range(total)))
+    d_eo = differential({(0, 0): _kron(right.B, r), (0, 1): _kron(-left.B, rp, True),
+                         (1, 0): _kron(-left.A, rp, True), (1, 1): _kron(right.A, r)})
+    d_oe = differential({(0, 0): _kron(right.A, r), (0, 1): _kron(left.B, rp, True),
+                         (1, 0): _kron(left.A, rp, True), (1, 1): _kron(right.B, r)})
     complex_ = TwoPeriodicComplex(total, total, d_eo, d_oe)
     if not complex_.is_complex():
         raise InternalCheckError("hom complex differentials do not compose to zero")
@@ -229,18 +222,10 @@ def homology_dimensions(c: TwoPeriodicComplex,
 
 def _tensor_map(m: PolyMatrix, s: int) -> PolyMatrix:
     """Kronecker product m (x) identity_s acting on blocks of size s."""
-    r_out, r_in = m.rows, m.cols
-    ring = m.ring
-    zero = Polynomial.zero(ring)
-    entries = []
-    for bi in range(r_out):
-        for ci in range(s):
-            row = []
-            for bj in range(r_in):
-                for cj in range(s):
-                    row.append(m.entry(bi, bj) if ci == cj else zero)
-            entries.extend(row)
-    return PolyMatrix(r_out * s, r_in * s, tuple(entries))
+    entries = [Polynomial.zero(m.ring)] * (m.rows * s * m.cols * s)
+    for row, col, p in _kron(m, s):
+        entries[row * m.cols * s + col] = p
+    return PolyMatrix(m.rows * s, m.cols * s, tuple(entries))
 
 
 def _module_relation_vectors(n_module: ModulePresentation,

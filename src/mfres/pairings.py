@@ -30,15 +30,12 @@ Theta. hochster_theta(M, N) is the difference of stable even and odd Tor
 lengths along the two periodic resolution; herbrand_difference is the Ext
 counterpart (even minus odd), the same number the Euler pairing computes on
 cokernels. Gram matrices of either pairing over a list of inputs are
-assembled entrywise (independent entries evaluated concurrently; assembly is
-by index, so output does not depend on scheduling) and certified positive
-semidefinite, when they are, by an exact fraction free LDL^T with largest
-diagonal pivoting.
+assembled entry by entry and certified positive semidefinite, when they are,
+by an exact fraction free LDL^T with largest diagonal pivoting.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -371,7 +368,7 @@ def _signed_theta_sign(nvars: int) -> int:
 
 def gram_matrix(items: Sequence[PairingInput], pairing: str,
                 order: MonomialOrder = DEGREVLEX) -> GramMatrix:
-    """Symmetric pairing matrix over the items; entries evaluated concurrently."""
+    """Symmetric pairing matrix over the items, one entry at a time."""
     if pairing not in ("euler", "theta", "signed_theta"):
         raise ValueError(f"unknown pairing {pairing!r}")
     if not items:
@@ -379,36 +376,23 @@ def gram_matrix(items: Sequence[PairingInput], pairing: str,
     labels = tuple(it.label or f"item{i}" for i, it in enumerate(items))
     n = len(items)
 
+    grid = [[0] * n for _ in range(n)]
     if pairing == "euler":
         for it in items:
             if not isinstance(it, MatrixFactorization):
                 raise MfresError("euler gram entries need matrix factorizations")
-        tasks = [(i, j) for i in range(n) for j in range(n)]
-
-        def compute(idx):
-            i, j = idx
-            return euler_pairing(items[i], items[j], order)
-    else:
-        presentations = [_as_presentation(it) for it in items]
-        tasks = [(i, j) for i in range(n) for j in range(i, n)]
-
-        def compute(idx):
-            i, j = idx
-            return hochster_theta(items[i], presentations[j], order)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-        results = dict(zip(tasks, pool.map(compute, tasks)))
-
-    grid = [[0] * n for _ in range(n)]
-    for (i, j), value in results.items():
-        grid[i][j] = value
-        if pairing != "euler":
-            grid[j][i] = value
-    if pairing == "euler":
+        for i in range(n):
+            for j in range(n):
+                grid[i][j] = euler_pairing(items[i], items[j], order)
         for i in range(n):
             for j in range(i):
                 if grid[i][j] != grid[j][i]:
                     raise MfresError("euler pairing is not symmetric on this input")
+    else:
+        presentations = [_as_presentation(it) for it in items]
+        for i in range(n):
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = hochster_theta(items[i], presentations[j], order)
     if pairing == "signed_theta":
         nvars = len(_potential_of(items[0]).ring)
         sign = _signed_theta_sign(nvars)

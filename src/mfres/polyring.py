@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -45,7 +46,12 @@ def lex_key(exps: Monomial) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with Fraction coefficients.
+
+    The public constructor validates every exponent vector and coerces every
+    coefficient. _trusted skips that, and is only for the results of __add__
+    and __mul__, whose terms arithmetic has already normalised.
+    """
 
     __slots__ = ("ring", "_terms", "_hash")
 
@@ -62,6 +68,15 @@ class Polynomial:
             clean[tuple(exps)] = c
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms with valid exponents and nonzero Fraction coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):  # immutability
         if name in ("ring", "_terms", "_hash"):
@@ -146,7 +161,7 @@ class Polynomial:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     __radd__ = __add__
 
@@ -168,20 +183,20 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero(self.ring)
-            return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
+            return Polynomial._trusted(self.ring, {e: k * c for e, k in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
         out: dict[Monomial, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -488,15 +503,22 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product; zero entries on either side are skipped, so the
+        cost follows the number of nonzero products, not rows * cols * inner."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        zero = Polynomial.zero(self.ring) if self.rows and other.cols else None
+        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b]
+                      for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                acc = Polynomial.zero(self.ring)
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
+            acc: dict[int, Polynomial] = {}
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in other_rows[k]:
+                        prev = acc.get(j)
+                        acc[j] = a * b if prev is None else prev + a * b
+            out.extend(acc.get(j, zero) for j in range(other.cols))
         return PolyMatrix(self.rows, other.cols, tuple(out))
 
     def scale(self, f) -> "PolyMatrix":

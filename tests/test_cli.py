@@ -127,6 +127,31 @@ class TestGramAndPsd:
         assert code == 1
         assert env["status"] == "error"
 
+    # Gram entries are integers; a float is refused even when whole (2.0),
+    # since it cannot come from a Gram report and int() would silently truncate
+    @pytest.mark.parametrize("labels, entries", [
+        (["a"], [[-0.5]]),
+        (["a", "b"], [[1.9, 0], [0, 2.5]]),
+        (["a"], [[2.0]]),
+        (["a"], [[True]]),
+        (["a", "b"], [[1, False], [False, 1]]),
+        (["a"], [["1"]]),
+        (["a"], ["1"]),
+        (["a"], 1),
+        ("ab", [[1, 0], [0, 1]]),
+        ([1, 2], [[1, 0], [0, 1]]),
+        (None, [[1]]),
+    ])
+    def test_psd_rejects_non_integer_input(self, capsys, tmp_path, labels, entries):
+        report = tmp_path / "bad.json"
+        report.write_text(json.dumps({
+            "pairing": "euler", "labels": labels, "entries": entries,
+        }))
+        code, env = run_json(capsys, "psd", str(report))
+        assert code == 1
+        assert env["status"] == "error"
+        assert env["error"]["type"] == "CorpusError"
+
 
 class TestWeightFiltration:
     def test_jordan_3_1(self, capsys, tmp_path):

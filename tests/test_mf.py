@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import mfres.mf
 from mfres import (
     FactorizationError,
+    InternalCheckError,
     MatrixFactorization,
+    Polynomial,
+    PolyMatrix,
     cokernel_presentation,
     dual,
     hom_complex,
@@ -13,7 +19,7 @@ from mfres import (
     tor_lengths,
     validate_mf,
 )
-from conftest import XY, make_mf, make_module, matrix, poly
+from conftest import XY, XYZ, make_mf, make_module, matrix, poly
 
 
 class TestValidation:
@@ -86,6 +92,69 @@ class TestHomComplex:
         swapped = make_mf("y^3 + x^3", [["y + x"]], [["y^2 - y*x + x^2"]])
         assert (homology_dimensions(hom_complex(original, original)) ==
                 homology_dimensions(hom_complex(swapped, swapped)))
+
+
+def _koszul_rank4(a, b):
+    """Tensor product of the one-variable factorizations (a_i, b_i), i = 1..3:
+    A = [[A1, a3 I], [-b3 I, B1]], B = [[B1, -a3 I], [b3 I, A1]] on top of
+    A1 = [[a1, a2], [-b2, b1]], B1 = [[b1, -a2], [b2, a1]]."""
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    A1 = [[a1, a2], [f"-{b2}", b1]]
+    B1 = [[b1, f"-{a2}"], [b2, a1]]
+    A = [A1[0] + [a3, "0"], A1[1] + ["0", a3],
+         [f"-{b3}", "0"] + B1[0], ["0", f"-{b3}"] + B1[1]]
+    B = [B1[0] + [f"-{a3}", "0"], B1[1] + ["0", f"-{a3}"],
+         [b3, "0"] + A1[0], ["0", b3] + A1[1]]
+    return make_mf("x^3 + y^3 + z^3", A, B, variables=XYZ)
+
+
+def _random_matrix(rng, ring, rows, cols):
+    monomials = [tuple(rng.randint(0, 2) for _ in ring) for _ in range(3)]
+    return PolyMatrix(rows, cols, tuple(
+        Polynomial(ring, {m: rng.randint(-3, 3) for m in monomials})
+        for _ in range(rows * cols)))
+
+
+def _vec(*blocks):
+    entries = tuple(p for m in blocks for p in m.entries)
+    return PolyMatrix(len(entries), 1, entries)
+
+
+class TestHomDifferentials:
+    """The Kronecker-block differentials against the hom_complex docstring,
+    d(alpha_0, alpha_1) = (B' alpha_0 - alpha_1 B, A' alpha_1 - alpha_0 A) and
+    d(beta_0, beta_1) = (A' beta_0 + beta_1 B, B' beta_1 + beta_0 A),
+    evaluated with PolyMatrix products on random rp x r matrices."""
+
+    def check(self, left, right, seed):
+        rng = random.Random(seed)
+        c = hom_complex(left, right)
+        a, b, ap, bp = left.A, left.B, right.A, right.B
+        for _ in range(3):
+            x0 = _random_matrix(rng, left.ring, right.rank, left.rank)
+            x1 = _random_matrix(rng, left.ring, right.rank, left.rank)
+            assert c.d_even_to_odd @ _vec(x0, x1) == _vec(bp @ x0 - x1 @ b, ap @ x1 - x0 @ a)
+            assert c.d_odd_to_even @ _vec(x0, x1) == _vec(ap @ x0 + x1 @ b, bp @ x1 + x0 @ a)
+
+    def test_cubic_ranks_one_and_two_both_orders(self, cubic_mf):
+        d1 = make_mf("x^3 + y^3", [["x", "-y"], ["y^2", "x^2"]],
+                     [["x^2", "y"], ["-y^2", "x"]], label="D1")
+        self.check(cubic_mf, d1, seed=1)
+        self.check(d1, cubic_mf, seed=2)
+        self.check(d1, shift(d1), seed=3)
+
+    def test_rank_four_koszul_pair(self):
+        left = _koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = _koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        assert (left.rank, right.rank) == (4, 4)
+        self.check(left, right, seed=4)
+
+    def test_composite_check_is_live(self, node_mf, monkeypatch):
+        # A B = x^2 != x*y: only the d o d = 0 check can catch it now
+        bad = MatrixFactorization(poly("x*y"), matrix([["x"]]), matrix([["x"]]))
+        monkeypatch.setattr(mfres.mf, "validate_mf", lambda mf: mf)
+        with pytest.raises(InternalCheckError):
+            hom_complex(bad, node_mf)
 
 
 class TestTor:

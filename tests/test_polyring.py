@@ -145,3 +145,42 @@ class TestPolyMatrix:
         assert (a @ b).entry(0, 0) == poly("x^2 + y^2")
         with pytest.raises(ValueError):
             b @ matrix([["x"], ["y"]])
+
+    def test_matmul_with_zero_entries_matches_entrywise_sums(self):
+        a = matrix([["x", "0", "y - 1"], ["0", "0", "0"]])
+        b = matrix([["0", "x*y"], ["y^2", "0"], ["x", "0"]])
+        prod = a @ b
+        assert prod.rows == 2 and prod.cols == 2
+        for i in range(2):
+            for j in range(2):
+                want = sum((a.entry(i, k) * b.entry(k, j) for k in range(3)),
+                           Polynomial.zero(XY))
+                assert prod.entry(i, j) == want
+        assert prod.entry(0, 0) == poly("x*y - x")
+        assert prod.entry(1, 1).is_zero()
+
+    def test_cancellation_leaves_a_canonical_zero(self):
+        a = matrix([["x", "y"]])
+        b = matrix([["y"], ["-x"]])
+        zero = (a @ b).entry(0, 0)
+        assert zero == Polynomial.zero(XY) and hash(zero) == hash(Polynomial.zero(XY))
+        assert (poly("x") - poly("x")).terms == {}
+
+
+class TestConstructorValidation:
+    def test_public_constructor_rejects_bad_exponents(self):
+        with pytest.raises(ValueError):
+            Polynomial(XY, {(1,): 1})
+        with pytest.raises(ValueError):
+            Polynomial(XY, {(1, -1): 1})
+
+    def test_public_constructor_normalises_coefficients(self):
+        p = Polynomial(XY, {(1, 0): 2, (0, 1): 0})
+        assert p.terms == {(1, 0): Fraction(2)}
+        assert isinstance(p.coefficient((1, 0)), Fraction)
+
+    def test_arithmetic_results_equal_validated_ones(self):
+        p = poly("x + 2*y") * poly("x - y") + poly("1/2")
+        rebuilt = Polynomial(XY, p.terms)
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert all(isinstance(c, Fraction) for _, c in p.items())
