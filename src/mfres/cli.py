@@ -40,6 +40,7 @@ from .hodge import (
 )
 from .mf import MatrixFactorization, cokernel_presentation, tor_lengths
 from .pairings import (
+    PAIRINGS,
     GramMatrix,
     chern_milnor_class,
     euler_pairing,
@@ -102,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="pairing matrix over a list of items")
     p.add_argument("corpus")
-    p.add_argument("--pairing", choices=("euler", "theta", "signed_theta"),
-                   required=True)
+    p.add_argument("--pairing", choices=PAIRINGS, required=True)
     p.add_argument("--items", required=True, help="comma separated labels")
 
     p = sub.add_parser("psd", help="certify a gram report positive semidefinite")
@@ -246,6 +246,8 @@ def _cmd_psd(args, order):
     labels, rows = raw["labels"], raw["entries"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise CorpusError("labels must be a list of strings")
+    if raw["pairing"] not in PAIRINGS:
+        raise CorpusError(f"pairing must be one of {', '.join(PAIRINGS)}")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise CorpusError("entries must be a list of rows")
     # Gram entries are integers: no floats (2.0 included), booleans or strings

@@ -7,11 +7,23 @@ index taking priority. Global orders are enough here because the only local
 question the engine answers, support at the origin, is reduced to nilpotency
 of the variable multiplication operators on a finite quotient.
 
-Buchberger runs with the sugar selection strategy and the coprime leading
-term criterion; the criterion is applied only in ambient rank one, where it is
-actually valid. Input generators are pre-sorted so the output is independent
-of the caller's ordering, and bases are returned fully interreduced, monic,
-and sorted, hence canonical for a fixed order.
+Buchberger runs with the sugar selection strategy and the Gebauer-Moeller
+pair update (Gebauer & Moeller 1988, J. Symb. Comp. 6). S-pairs are formed
+only between elements whose leading terms share a component. When h joins
+the basis, criterion B drops each queued pair whose lcm lt(h) divides
+without equalling either lcm with h; among the new pairs, criterion M drops
+those whose lcm another new lcm properly divides, and criterion F keeps one
+pair per lcm. All three rest on the chain criterion: if lt(k) divides
+lcm(i, j), then S(i, j) is a monomial combination of S(i, k) and S(k, j)
+whose terms all lie below lcm(i, j), so S(i, j) reduces to zero once those
+two pairs do. The argument only multiplies and divides terms of one
+component, where module terms behave exactly like monomials, so it holds
+for module pairs of equal component as it does for ideals. The coprime
+leading term criterion is not of that kind: it holds only in ambient rank
+one, and only there does a coprime pair discard its class of new pairs of
+equal lcm. Input generators are pre-sorted so the run is independent of the
+caller's ordering, and bases are returned fully interreduced, monic, and
+sorted, hence canonical for a fixed order.
 
 Syzygies, module membership, and coordinates all come from one construction:
 a Groebner basis of the augmented module generated by (g_i, e_i) inside
@@ -25,7 +37,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from operator import add, sub
+from typing import Iterable, Sequence, Union
 
 from .errors import ContainmentError, InfiniteQuotientError
 from .polyring import Monomial, Polynomial, Ring, degrevlex_key, lex_key
@@ -50,6 +63,15 @@ class MonomialOrder:
     def term_key(self, term: Term) -> tuple:
         comp, exps = term
         return (-comp, self.mono_key(exps))
+
+    def heap_key(self, term: Term) -> tuple:
+        """Reverse of term_key: a min-heap on it pops the leading term first."""
+        comp, exps = term
+        if self.name == "degrevlex":
+            return (comp, -sum(exps), exps[::-1])
+        if self.name == "lex":
+            return (comp, tuple(-e for e in exps))
+        raise ValueError(f"unknown order {self.name!r}")
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -119,6 +141,12 @@ def vec_to_element(vec: Vec, rank: int, ring: Ring) -> FreeModuleElement:
 # ---------------------------------------------------------------------------
 # low level vector ops
 
+# A divisor is a monic vector split into its leading term and the rest;
+# _reduce takes divisors grouped by the component of their leading term.
+Divisor = tuple[Term, tuple[tuple[Term, Fraction], ...]]
+Divisors = dict[int, list[Divisor]]
+
+
 def _lt(vec: Vec, order: MonomialOrder) -> Term:
     return max(vec, key=order.term_key)
 
@@ -128,129 +156,172 @@ def _divides(small: Term, big: Term) -> bool:
 
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
-def _shift(vec: Vec, mono: Monomial, scalar: Fraction) -> Vec:
-    return {(c, tuple(e + m for e, m in zip(exps, mono))): k * scalar
-            for (c, exps), k in vec.items()}
+def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
 
 
-def _sub_into(target: Vec, other: Vec) -> None:
-    for t, c in other.items():
-        s = target.get(t, Fraction(0)) - c
-        if s:
-            target[t] = s
-        else:
-            target.pop(t, None)
+def _divisor(vec: Vec, lt: Term) -> Divisor:
+    """vec scaled to be monic, split into its leading term lt and the rest."""
+    lc = vec[lt]
+    tail = tuple((t, c) for t, c in vec.items() if t != lt)
+    if lc != 1:
+        tail = tuple((t, c / lc) for t, c in tail)
+    return lt, tail
 
 
-def _vec_degree(vec: Vec) -> int:
-    return max(sum(exps) for _, exps in vec)
+def _by_component(divisors: Iterable[Divisor]) -> Divisors:
+    out: Divisors = {}
+    for d in divisors:
+        out.setdefault(d[0][0], []).append(d)
+    return out
 
 
-def _canonical_key(vec: Vec, order: MonomialOrder) -> tuple:
-    items = sorted(vec.items(), key=lambda kv: order.term_key(kv[0]), reverse=True)
-    return tuple((t, c) for t, c in items)
+def _degree(d: Divisor) -> int:
+    (_, exps), tail = d
+    return max([sum(exps)] + [sum(e) for (_, e), _ in tail])
 
 
-def _reduce(vec: Vec, divisors: list[tuple[Vec, Term, Fraction]],
-            order: MonomialOrder) -> Vec:
-    """Full normal form: every term of the remainder escapes every divisor."""
+def _reduce(vec: Vec, divisors: Divisors, order: MonomialOrder) -> Vec:
+    """Full normal form: every term of the remainder escapes every divisor.
+
+    The terms still to be reduced live in `work`, and each also sits in a
+    min-heap under its heap_key, computed once when the term enters, so the
+    leading term is a pop away. A subtraction that cancels a term removes it
+    from `work` only; its heap entry is skipped when popped. The divisor's
+    leading term cancels the popped term exactly, so only its tail is
+    subtracted. Terms leave in descending order, which is the order of the
+    remainder's keys.
+    """
+    key = order.heap_key
     work = dict(vec)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     remainder: Vec = {}
-    while work:
-        term = _lt(work, order)
-        coeff = work[term]
-        for dvec, dlt, dlc in divisors:
-            if _divides(dlt, term):
-                factor = coeff / dlc
-                _sub_into(work, _shift(dvec, _mono_sub(term[1], dlt[1]), factor))
+    while heap:
+        term = heapq.heappop(heap)[1]
+        coeff = work.pop(term, None)
+        if coeff is None:
+            continue
+        exps = term[1]
+        for (_, dexps), tail in divisors.get(term[0], ()):
+            if all(a <= b for a, b in zip(dexps, exps)):
+                shift = _mono_sub(exps, dexps)
+                factor = -coeff
+                for (c, e), k in tail:
+                    t = (c, tuple(map(add, e, shift)))
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = factor * k
+                        heapq.heappush(heap, (key(t), t))
+                    else:
+                        new = old + factor * k
+                        if new:
+                            work[t] = new
+                        else:
+                            del work[t]
                 break
         else:
             remainder[term] = coeff
-            del work[term]
     return remainder
-
-
-def _monic(vec: Vec, order: MonomialOrder) -> Vec:
-    lc = vec[_lt(vec, order)]
-    if lc == 1:
-        return dict(vec)
-    return {t: c / lc for t, c in vec.items()}
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
 
+def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> Vec:
+    """lcm/lt(a) * a - lcm/lt(b) * b for monic a, b; the leading terms cancel."""
+    (_, ea), tail_a = a
+    (_, eb), tail_b = b
+    shift = _mono_sub(lcm, ea)
+    s: Vec = {(c, tuple(map(add, e, shift))): k for (c, e), k in tail_a}
+    shift = _mono_sub(lcm, eb)
+    for (c, e), k in tail_b:
+        t = (c, tuple(map(add, e, shift)))
+        new = s.get(t, 0) - k
+        if new:
+            s[t] = new
+        else:
+            del s[t]
+    return s
+
+
 def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by vecs."""
-    seeds = [_monic(v, order) for v in vecs if v]
-    seeds.sort(key=lambda v: (order.term_key(_lt(v, order)), _canonical_key(v, order)))
+    # sorted monic inputs, so the run does not depend on the caller's ordering
+    seeds = [_divisor(v, _lt(v, order)) for v in vecs if v]
+    seeds.sort(key=lambda d: (order.term_key(d[0]), sorted(
+        d[1], key=lambda kv: order.term_key(kv[0]), reverse=True)))
 
-    basis: list[Vec] = []
-    lts: list[Term] = []
+    basis: list[Divisor] = []
+    divisors: Divisors = {}  # the same elements, by component
     sugars: list[int] = []
+    queued: dict[tuple[int, int], Monomial] = {}  # pair -> lcm; the heap may hold more
     heap: list[tuple[int, tuple, int, int]] = []
 
-    def enqueue(i: int, j: int) -> None:
-        ti, tj = lts[i], lts[j]
-        if ti[0] != tj[0]:
-            return
-        lcm = tuple(max(a, b) for a, b in zip(ti[1], tj[1]))
-        sugar = max(sugars[i] + sum(_mono_sub(lcm, ti[1])),
-                    sugars[j] + sum(_mono_sub(lcm, tj[1])))
-        heapq.heappush(heap, (sugar, order.term_key((ti[0], lcm)), i, j))
-
-    def add(vec: Vec, sugar: int) -> None:
-        basis.append(vec)
-        lts.append(_lt(vec, order))
+    def insert(d: Divisor, sugar: int) -> None:
+        k = len(basis)
+        comp, exps = d[0]
+        basis.append(d)
+        divisors.setdefault(comp, []).append(d)
         sugars.append(sugar)
-        k = len(basis) - 1
+        # criterion B: lt(h) | lcm(i, j) and lcm(i, j) differs from both lcm(i, h), lcm(j, h)
+        for (i, j), lcm in list(queued.items()):
+            if (basis[i][0][0] == comp and all(a <= b for a, b in zip(exps, lcm))
+                    and lcm != _mono_lcm(basis[i][0][1], exps)
+                    and lcm != _mono_lcm(basis[j][0][1], exps)):
+                del queued[(i, j)]
+        classes: dict[Monomial, list[int]] = {}
         for i in range(k):
-            enqueue(i, k)
+            if basis[i][0][0] == comp:
+                classes.setdefault(_mono_lcm(basis[i][0][1], exps), []).append(i)
+        for lcm, members in classes.items():
+            # criterion M: another new lcm properly divides this one
+            if any(other != lcm and all(a <= b for a, b in zip(other, lcm)) for other in classes):
+                continue
+            # product criterion, valid for ideals only, never for module S-pairs;
+            # one coprime pair discards its whole class
+            if ambient_rank == 1 and any(
+                    lcm == tuple(map(add, basis[i][0][1], exps)) for i in members):
+                continue
+            i = members[0]  # criterion F: one pair per lcm
+            pair_sugar = max(sugars[i] + sum(lcm) - sum(basis[i][0][1]),
+                             sugar + sum(lcm) - sum(exps))
+            queued[(i, k)] = lcm
+            heapq.heappush(heap, (pair_sugar, order.term_key((comp, lcm)), i, k))
 
-    for v in seeds:
-        add(v, _vec_degree(v))
+    for d in seeds:
+        insert(d, _degree(d))
 
     while heap:
         sugar, _, i, j = heapq.heappop(heap)
-        ti, tj = lts[i], lts[j]
-        lcm = tuple(max(a, b) for a, b in zip(ti[1], tj[1]))
-        # product criterion: valid for ideals only, never for module S-pairs
-        if ambient_rank == 1 and lcm == tuple(a + b for a, b in zip(ti[1], tj[1])):
-            continue
-        s: Vec = _shift(basis[i], _mono_sub(lcm, ti[1]), Fraction(1) / basis[i][ti])
-        _sub_into(s, _shift(basis[j], _mono_sub(lcm, tj[1]), Fraction(1) / basis[j][tj]))
-        divisors = [(basis[k], lts[k], Fraction(1)) for k in range(len(basis))]
-        h = _reduce(s, divisors, order)
+        lcm = queued.pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by criterion B
+        h = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, order)
         if h:
-            add(_monic(h, order), sugar)
+            insert(_divisor(h, next(iter(h))), sugar)  # a remainder lists its leading term first
 
     return _autoreduce(basis, order)
 
 
-def _autoreduce(basis: list[Vec], order: MonomialOrder) -> list[Vec]:
-    """Minimal, interreduced, monic, sorted descending by leading term."""
-    if not basis:
-        return []
-    ordered = sorted(basis, key=lambda v: (order.term_key(_lt(v, order)),
-                                           _canonical_key(v, order)))
-    kept: list[Vec] = []
-    kept_lts: list[Term] = []
-    for v in ordered:
-        lt = _lt(v, order)
-        if any(_divides(k, lt) for k in kept_lts):
-            continue
-        kept.append(v)
-        kept_lts.append(lt)
-    final: list[Vec] = []
-    for idx, v in enumerate(kept):
-        others = [(kept[k], kept_lts[k], Fraction(1))
-                  for k in range(len(kept)) if k != idx]
-        h = _reduce(v, others, order)
-        final.append(_monic(h, order))
-    final.sort(key=lambda v: order.term_key(_lt(v, order)), reverse=True)
+def _autoreduce(basis: list[Divisor], order: MonomialOrder) -> list[Vec]:
+    """Minimal, interreduced, monic, sorted descending by leading term.
+
+    Keeps one element per minimal leading term and reduces its tail by the
+    kept elements, which leaves the unique reduced basis of the submodule.
+    An element's own leading term divides none of its tail terms, nor any
+    term the reduction brings in, since all of them are smaller.
+    """
+    kept: list[Divisor] = []
+    for d in sorted(basis, key=lambda d: order.term_key(d[0])):
+        if not any(_divides(lt, d[0]) for lt, _ in kept):
+            kept.append(d)
+    divisors = _by_component(kept)
+    final = [{lt: Fraction(1), **_reduce(dict(tail), divisors, order)} for lt, tail in kept]
+    final.reverse()
     return final
 
 
@@ -266,13 +337,9 @@ class GroebnerBasis:
     order: MonomialOrder
     generators: tuple[FreeModuleElement, ...]
 
-    def _divisors(self) -> list[tuple[Vec, Term, Fraction]]:
-        out = []
-        for g in self.generators:
-            vec = element_to_vec(g)
-            lt = _lt(vec, self.order)
-            out.append((vec, lt, vec[lt]))
-        return out
+    def _divisors(self) -> Divisors:
+        vecs = [element_to_vec(g) for g in self.generators]
+        return _by_component(_divisor(v, _lt(v, self.order)) for v in vecs)
 
     def leading_terms(self) -> list[Term]:
         return [_lt(element_to_vec(g), self.order) for g in self.generators]
@@ -339,10 +406,7 @@ class _AugmentedBasis:
             vec[(self.rank + i, zero_exps)] = Fraction(1)
             aug.append(vec)
         self.basis = _buchberger(aug, self.rank + self.count, order)
-        self.divisors = []
-        for v in self.basis:
-            lt = _lt(v, order)
-            self.divisors.append((v, lt, v[lt]))
+        self.divisors = _by_component(_divisor(v, _lt(v, order)) for v in self.basis)
 
     def syzygies(self) -> list[FreeModuleElement]:
         out = []

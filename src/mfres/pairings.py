@@ -366,10 +366,13 @@ def _signed_theta_sign(nvars: int) -> int:
     return -1 if (nvars // 2) % 2 else 1
 
 
+PAIRINGS = ("euler", "theta", "signed_theta")
+
+
 def gram_matrix(items: Sequence[PairingInput], pairing: str,
                 order: MonomialOrder = DEGREVLEX) -> GramMatrix:
     """Symmetric pairing matrix over the items, one entry at a time."""
-    if pairing not in ("euler", "theta", "signed_theta"):
+    if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     if not items:
         raise ValueError("need at least one item")

@@ -49,6 +49,20 @@ def make_module(potential: str, relations, ambient_rank: int = 1,
                               label=label)
 
 
+def koszul_rank4(a, b):
+    """Tensor product of the one-variable factorizations (a_i, b_i), i = 1..3:
+    A = [[A1, a3 I], [-b3 I, B1]], B = [[B1, -a3 I], [b3 I, A1]] on top of
+    A1 = [[a1, a2], [-b2, b1]], B1 = [[b1, -a2], [b2, a1]]."""
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    A1 = [[a1, a2], [f"-{b2}", b1]]
+    B1 = [[b1, f"-{a2}"], [b2, a1]]
+    A = [A1[0] + [a3, "0"], A1[1] + ["0", a3],
+         [f"-{b3}", "0"] + B1[0], ["0", f"-{b3}"] + B1[1]]
+    B = [B1[0] + [f"-{a3}", "0"], B1[1] + ["0", f"-{a3}"],
+         [b3, "0"] + A1[0], ["0", b3] + A1[1]]
+    return make_mf("x^3 + y^3 + z^3", A, B, variables=XYZ)
+
+
 # ---- Jordan form helpers shared by the filtration tests ----
 
 

@@ -152,6 +152,17 @@ class TestGramAndPsd:
         assert env["status"] == "error"
         assert env["error"]["type"] == "CorpusError"
 
+    @pytest.mark.parametrize("pairing", [5, None, "hodge"])
+    def test_psd_rejects_unknown_pairing(self, capsys, tmp_path, pairing):
+        report = tmp_path / "bad.json"
+        report.write_text(json.dumps({
+            "pairing": pairing, "labels": ["a"], "entries": [[1]],
+        }))
+        code, env = run_json(capsys, "psd", str(report))
+        assert code == 1
+        assert env["status"] == "error"
+        assert env["error"]["type"] == "CorpusError"
+
 
 class TestWeightFiltration:
     def test_jordan_3_1(self, capsys, tmp_path):

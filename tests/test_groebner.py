@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mfres.groebner
 from mfres import (
     ContainmentError,
     DEGREVLEX,
@@ -15,6 +18,8 @@ from mfres import (
     express_in_terms,
     get_order,
     groebner_basis,
+    hom_complex,
+    jacobian_generators,
     normal_form,
     origin_support_check,
     quotient_dimension,
@@ -22,7 +27,7 @@ from mfres import (
     syzygy_basis,
     to_string,
 )
-from conftest import XY, poly
+from conftest import XY, XYZ, koszul_rank4, poly
 
 
 class TestGroebnerBasis:
@@ -173,3 +178,195 @@ def test_get_order_names():
     assert get_order("lex") is LEX
     with pytest.raises(ValueError):
         get_order("grlex")
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, 4)] * 3)),
+                max_size=30),
+       st.sampled_from([DEGREVLEX, LEX]))
+@settings(max_examples=100, deadline=None)
+def test_heap_key_reverses_term_key(terms, order):
+    assert sorted(terms, key=order.heap_key) == sorted(terms, key=order.term_key, reverse=True)
+
+
+# ---- an independent reference: all-pairs Buchberger with no criteria ----
+#
+# Vectors are dicts {(component, exponents): Fraction}. Leading terms are found
+# by a linear scan with a comparison written out from the definition of the
+# orders, every S-pair of equal component is reduced, and the result is
+# minimalised and interreduced at the end.
+
+
+def _ref_greater(order: str, s, t) -> bool:
+    """s > t, position over term: the lower component wins, then the order."""
+    if s[0] != t[0]:
+        return s[0] < t[0]
+    a, b = s[1], t[1]
+    if order == "degrevlex":
+        if sum(a) != sum(b):
+            return sum(a) > sum(b)
+        # the last exponent that differs is smaller in the larger monomial
+        for x, y in zip(reversed(a), reversed(b)):
+            if x != y:
+                return x < y
+        return False
+    for x, y in zip(a, b):
+        if x != y:
+            return x > y
+    return False
+
+
+def _ref_lt(vec, order: str):
+    best = None
+    for t in vec:
+        if best is None or _ref_greater(order, t, best):
+            best = t
+    return best
+
+
+def _ref_subtract(target, scale, shift, vec):
+    """target -= scale * x^shift * vec, in place."""
+    for (c, e), v in vec.items():
+        t = (c, tuple(a + b for a, b in zip(e, shift)))
+        new = target.get(t, Fraction(0)) - scale * v
+        if new:
+            target[t] = new
+        else:
+            target.pop(t, None)
+
+
+def _ref_normal_form(vec, basis, order: str):
+    vec, remainder = dict(vec), {}
+    while vec:
+        t = _ref_lt(vec, order)
+        for g in basis:
+            gt = _ref_lt(g, order)
+            if gt[0] == t[0] and all(x <= y for x, y in zip(gt[1], t[1])):
+                shift = tuple(y - x for x, y in zip(gt[1], t[1]))
+                _ref_subtract(vec, vec[t] / g[gt], shift, g)
+                break
+        else:
+            remainder[t] = vec.pop(t)
+    return remainder
+
+
+def _ref_reduced_basis(gens: list[FreeModuleElement], order: str):
+    basis = [{(c, e): v for c, p in enumerate(g.components) for e, v in p.items()}
+             for g in gens]
+    basis = [v for v in basis if v]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        ti, tj = _ref_lt(basis[i], order), _ref_lt(basis[j], order)
+        if ti[0] != tj[0]:
+            continue
+        lcm = tuple(map(max, ti[1], tj[1]))
+        s = {}
+        _ref_subtract(s, -1 / basis[i][ti], tuple(l - e for l, e in zip(lcm, ti[1])), basis[i])
+        _ref_subtract(s, 1 / basis[j][tj], tuple(l - e for l, e in zip(lcm, tj[1])), basis[j])
+        h = _ref_normal_form(s, basis, order)
+        if h:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(h)
+    lts = [_ref_lt(g, order) for g in basis]
+
+    def redundant(k):
+        return any(m != k and lts[m][0] == lts[k][0]
+                   and all(x <= y for x, y in zip(lts[m][1], lts[k][1]))
+                   and (lts[m] != lts[k] or m < k) for m in range(len(basis)))
+
+    minimal = [g for k, g in enumerate(basis) if not redundant(k)]
+    reduced = []
+    for k, g in enumerate(minimal):
+        h = _ref_normal_form(g, minimal[:k] + minimal[k + 1:], order)
+        lc = h[_ref_lt(h, order)]
+        reduced.append({t: c / lc for t, c in h.items()})
+
+    def descending(a, b):  # leading terms are distinct by now
+        return -1 if _ref_greater(order, _ref_lt(a, order), _ref_lt(b, order)) else 1
+
+    reduced.sort(key=cmp_to_key(descending))
+    rank, ring = gens[0].rank, gens[0].ring
+    out = []
+    for vec in reduced:
+        polys = [{} for _ in range(rank)]
+        for (c, e), v in vec.items():
+            polys[c][e] = v
+        out.append(FreeModuleElement(tuple(Polynomial(ring, p) for p in polys)))
+    return tuple(out)
+
+
+def _polynomials(ring, max_exp: int, max_terms: int):
+    monomials = st.tuples(*[st.integers(0, max_exp)] * len(ring))
+    coefficients = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(monomials, coefficients, max_size=max_terms).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+@st.composite
+def _ideals(draw):
+    ring = draw(st.sampled_from([XY, XYZ]))
+    polys = _polynomials(ring, 3 if ring == XY else 2, 3)
+    return [FreeModuleElement((p,)) for p in draw(st.lists(polys, min_size=1, max_size=3))]
+
+
+@st.composite
+def _submodules(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 3))
+    return [FreeModuleElement(tuple(draw(_polynomials(XY, 2, 2)) for _ in range(rank)))
+            for _ in range(count)]
+
+
+class TestAgainstPlainBuchberger:
+    """groebner_basis against the reference above, which applies no pair
+    criterion: ideals, where the product criterion is live, and rank 2 and 3
+    submodules, where criterion B has to respect components."""
+
+    def check(self, gens, order):
+        assert groebner_basis(gens, order).generators == _ref_reduced_basis(gens, order.name)
+        for syz in syzygy_basis(gens, order):
+            for c in range(gens[0].rank):
+                total = Polynomial.zero(gens[0].ring)
+                for coeff, g in zip(syz.components, gens):
+                    total = total + coeff * g.components[c]
+                assert total.is_zero()
+
+    @given(_ideals(), st.sampled_from([DEGREVLEX, LEX]))
+    @settings(max_examples=60, deadline=None)
+    def test_ideals(self, gens, order):
+        self.check(gens, order)
+
+    @given(_submodules(), st.sampled_from([DEGREVLEX, LEX]))
+    @settings(max_examples=60, deadline=None)
+    def test_submodules(self, gens, order):
+        self.check(gens, order)
+
+
+class TestWorkCounts:
+    """_reduce calls made by fixed inputs: one per S-pair reduced, per element
+    interreduced and per membership test. They do not depend on the machine,
+    so they pin the work the pair criteria save."""
+
+    @pytest.fixture
+    def reduce_calls(self, monkeypatch):
+        calls = []
+        original = mfres.groebner._reduce
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(mfres.groebner, "_reduce", counting)
+        return calls
+
+    def test_cubic_jacobian(self, reduce_calls):
+        groebner_basis(jacobian_generators(poly("x^3 + y^3")))
+        assert len(reduce_calls) == 2
+
+    def test_rank_four_koszul_syzygies(self, reduce_calls):
+        left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        d = hom_complex(left, right).d_even_to_odd
+        reduce_calls.clear()
+        syzygy_basis([FreeModuleElement(d.column(j)) for j in range(d.cols)])
+        assert len(reduce_calls) == 135

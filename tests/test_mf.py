@@ -19,7 +19,7 @@ from mfres import (
     tor_lengths,
     validate_mf,
 )
-from conftest import XY, XYZ, make_mf, make_module, matrix, poly
+from conftest import XY, koszul_rank4, make_mf, make_module, matrix, poly
 
 
 class TestValidation:
@@ -94,20 +94,6 @@ class TestHomComplex:
                 homology_dimensions(hom_complex(swapped, swapped)))
 
 
-def _koszul_rank4(a, b):
-    """Tensor product of the one-variable factorizations (a_i, b_i), i = 1..3:
-    A = [[A1, a3 I], [-b3 I, B1]], B = [[B1, -a3 I], [b3 I, A1]] on top of
-    A1 = [[a1, a2], [-b2, b1]], B1 = [[b1, -a2], [b2, a1]]."""
-    (a1, a2, a3), (b1, b2, b3) = a, b
-    A1 = [[a1, a2], [f"-{b2}", b1]]
-    B1 = [[b1, f"-{a2}"], [b2, a1]]
-    A = [A1[0] + [a3, "0"], A1[1] + ["0", a3],
-         [f"-{b3}", "0"] + B1[0], ["0", f"-{b3}"] + B1[1]]
-    B = [B1[0] + [f"-{a3}", "0"], B1[1] + ["0", f"-{a3}"],
-         [b3, "0"] + A1[0], ["0", b3] + A1[1]]
-    return make_mf("x^3 + y^3 + z^3", A, B, variables=XYZ)
-
-
 def _random_matrix(rng, ring, rows, cols):
     monomials = [tuple(rng.randint(0, 2) for _ in ring) for _ in range(3)]
     return PolyMatrix(rows, cols, tuple(
@@ -144,8 +130,8 @@ class TestHomDifferentials:
         self.check(d1, shift(d1), seed=3)
 
     def test_rank_four_koszul_pair(self):
-        left = _koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
-        right = _koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
         assert (left.rank, right.rank) == (4, 4)
         self.check(left, right, seed=4)
 
