@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import CorpusFile, format_fraction, load_corpus, parse_fraction
+from .corpus import CorpusFile, format_fraction, load_corpus, parse_fraction, read_json
 from .errors import CorpusError, MfresError
 from .forms import chern_character_form, euler_lemma_check
 from .groebner import get_order
@@ -230,12 +230,7 @@ def _cmd_gram(args, order):
 
 
 def _cmd_psd(args, order):
-    try:
-        raw = json.loads(Path(args.report).read_text())
-    except OSError as exc:
-        raise CorpusError(f"cannot read {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{args.report} is not valid JSON: {exc}") from exc
+    raw = read_json(args.report)
     if isinstance(raw, dict) and "results" in raw:
         raw = raw["results"]
     if not isinstance(raw, dict):
@@ -269,12 +264,7 @@ def _cmd_psd(args, order):
 
 
 def _cmd_weight(args, order):
-    try:
-        raw = json.loads(Path(args.matrix).read_text())
-    except OSError as exc:
-        raise CorpusError(f"cannot read {args.matrix}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{args.matrix} is not valid JSON: {exc}") from exc
+    raw = read_json(args.matrix)
     if not isinstance(raw, list):
         raise CorpusError("matrix file must hold a list of rows")
     rows = []

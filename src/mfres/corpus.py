@@ -31,6 +31,7 @@ against the potential on load.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -108,14 +109,20 @@ def _parse_matrix(rows: Any, variables, where: str) -> PolyMatrix:
     return PolyMatrix.from_rows(parsed)
 
 
-def load_corpus(path: str | Path) -> CorpusFile:
-    path = Path(path)
+def read_json(path: str | Path) -> Any:
+    """The JSON document in a file; any failure to read or decode it,
+    including integers past Python's digit limit, is a CorpusError."""
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CorpusError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_corpus(path: str | Path) -> CorpusFile:
+    path = Path(path)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise CorpusError(f"{path}: top level must be an object")
 
@@ -210,13 +217,19 @@ def save_corpus(cf: CorpusFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(corpus_to_dict(cf), indent=2) + "\n")
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def parse_fraction(text) -> Fraction:
-    """Rational from the JSON encodings: int, or 'p/q' / 'p' strings."""
+    """Rational from the JSON encodings: int, or 'p/q' / 'p' strings.
+
+    Decimals, exponents and underscores are refused before Fraction sees
+    them, so a string like '1e99999999' never builds its integer."""
     if isinstance(text, bool):
         raise CorpusError("expected a rational, found a boolean")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, str):
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

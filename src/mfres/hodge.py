@@ -20,11 +20,15 @@ graded symmetry and injectivity of the induced powers of N.
 
 primitive_subspace lifts the primitive part ker(N^(l+1) : Gr_(m+l) ->
 Gr_(m-l-2)) back to honest vectors, one representative per class.
+
+The powers N^0, ..., N^e are computed once, when a NilpotentOperator is
+built (which is also its nilpotency check), and every function here reads
+them from NilpotentOperator.powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalCheckError, MfresError
@@ -36,14 +40,22 @@ class NilpotentOperator:
     matrix: ratmat.Matrix
     center: int
 
+    # N^0, N^1, ..., N^e with N^e = 0, so N^k is powers[min(k, e)]
+    powers: tuple[ratmat.Matrix, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         n = len(self.matrix)
         if n == 0:
             raise MfresError("operator needs a space of positive dimension")
         if any(len(row) != n for row in self.matrix):
             raise MfresError("operator matrix must be square")
-        if ratmat.mat_pow(self.matrix, n) != ratmat.zero_matrix(n):
-            raise MfresError("operator is not nilpotent")
+        zero = ratmat.zero_matrix(n)
+        powers = [ratmat.identity(n)]
+        while powers[-1] != zero:
+            if len(powers) > n:
+                raise MfresError("operator is not nilpotent")
+            powers.append(ratmat.mat_mul(powers[-1], self.matrix))
+        object.__setattr__(self, "powers", tuple(powers))
 
     @classmethod
     def from_rows(cls, rows, center: int) -> NilpotentOperator:
@@ -57,13 +69,7 @@ class NilpotentOperator:
     @property
     def nilpotency_index(self) -> int:
         """Smallest e with N^e = 0."""
-        n = self.dimension
-        power = ratmat.identity(n)
-        for e in range(n + 1):
-            if power == ratmat.zero_matrix(n):
-                return e
-            power = ratmat.mat_mul(power, self.matrix)
-        return n  # unreachable after validation
+        return len(self.powers) - 1
 
 
 @dataclass(frozen=True)
@@ -91,28 +97,16 @@ def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
     n = op.dimension
     m = op.center
     e = op.nilpotency_index
-
-    powers = [ratmat.identity(n)]
-    for _ in range(e):
-        powers.append(ratmat.mat_mul(powers[-1], op.matrix))
-
-    def kernel_power(t: int) -> ratmat.Subspace:
-        if t <= 0:
-            return ()
-        if t >= e:
-            return ratmat.full_space(n)
-        return ratmat.kernel_of(powers[t], n)
-
-    def image_power(j: int) -> ratmat.Subspace:
-        if j >= e:
-            return ()
-        return ratmat.image_of(powers[j])
+    # ker N^t and im N^t for t = 0..e: ker N^0 = 0, ker N^e = Q^n, im N^e = 0
+    kernels = [ratmat.kernel_of(power, n) for power in op.powers]
+    images = [ratmat.image_of(power) for power in op.powers]
 
     pieces = []
     for l in range(-e, e + 1):
         total: ratmat.Subspace = ()
         for j in range(e + 1):
-            term = ratmat.subspace_intersect(kernel_power(l + j + 1), image_power(j), n)
+            kernel = kernels[min(max(l + j + 1, 0), e)]
+            term = ratmat.subspace_intersect(kernel, images[j], n)
             total = ratmat.subspace_sum(total, term, n)
         pieces.append(total)
 
@@ -131,7 +125,11 @@ class WeightAxiomReport:
 
 
 def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
-    """Check the defining axioms on any candidate filtration."""
+    """Check the defining axioms on any candidate filtration.
+
+    Its pieces must be canonical subspaces, as ratmat.span returns them:
+    containment is read off their RREF rows.
+    """
     op = wf.operator
     n = op.dimension
     m = op.center
@@ -144,17 +142,16 @@ def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
         if not ratmat.subspace_leq(moved, wf.piece(k - 2)):
             shift_ok = False
 
+    e = op.nilpotency_index
     span_up = max(wf.highest - m, m - wf.lowest, 0)
     iso_ok = True
-    power = ratmat.identity(n)
     for l in range(1, span_up + 1):
-        power = ratmat.mat_mul(power, op.matrix)
         if wf.graded_dimension(m + l) != wf.graded_dimension(m - l):
             iso_ok = False
             continue
         # injectivity of N^l on Gr_(m+l): anything in W_(m+l) that lands in
         # W_(m-l-1) must already lie in W_(m+l-1)
-        pulled = ratmat.preimage_in(power, wf.piece(m - l - 1), n)
+        pulled = ratmat.preimage_in(op.powers[min(l, e)], wf.piece(m - l - 1), n)
         inside = ratmat.subspace_intersect(pulled, wf.piece(m + l), n)
         if not ratmat.subspace_leq(inside, wf.piece(m + l - 1)):
             iso_ok = False
@@ -176,16 +173,8 @@ def primitive_subspace(wf: WeightFiltration, l: int) -> tuple[ratmat.Vector, ...
     op = wf.operator
     n = op.dimension
     m = op.center
-    power = ratmat.mat_pow(op.matrix, l + 1)
+    power = op.powers[min(l + 1, op.nilpotency_index)]
     pulled = ratmat.preimage_in(power, wf.piece(m - l - 3), n)
     inside = ratmat.subspace_intersect(pulled, wf.piece(m + l), n)
     below = wf.piece(m + l - 1)
-    reduced = []
-    for row in inside:
-        rem = ratmat.reduce_mod(row, below)
-        if any(v != 0 for v in rem):
-            reduced.append(rem)
-    if not reduced:
-        return ()
-    reps, _ = ratmat.rref(tuple(reduced))
-    return tuple(row for row in reps if any(v != 0 for v in row))
+    return ratmat.span([ratmat.reduce_mod(row, below) for row in inside], n)

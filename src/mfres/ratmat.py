@@ -81,10 +81,6 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     return out, tuple(pivots)
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[0])
-
-
 def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
     """Canonical basis of {v : a v = 0}, one vector per free column."""
     if ncols is None:
@@ -144,11 +140,7 @@ def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
 
 
 def contains_vector(s: Subspace, v: Vector) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not s:
-        return False
-    return rank(tuple(s) + (v,)) == len(s)
+    return not any(reduce_mod(v, s))
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
@@ -176,30 +168,20 @@ def map_subspace(matrix: Matrix, s: Subspace) -> Subspace:
 
 def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
     """{v : matrix @ v in target}, target a subspace of Q^rows."""
-    rows = len(matrix)
-    if rows == 0:
+    if not matrix:
         return full_space(dim)
     # reduce each column's image modulo target, then kernel of what is left
-    t = list(target)
-    reduced_cols = []
-    for j in range(dim):
-        col = [matrix[i][j] for i in range(rows)]
-        col = _reduce_mod(col, t)
-        reduced_cols.append(col)
-    resid = tuple(tuple(reduced_cols[j][i] for j in range(dim)) for i in range(rows))
-    return kernel_of(resid, dim)
+    reduced_cols = [reduce_mod(col, target) for col in zip(*matrix)]
+    return kernel_of(tuple(zip(*reduced_cols)), dim)
 
 
-def _reduce_mod(vec: list[Fraction], rref_rows: list[Vector]) -> list[Fraction]:
-    v = list(vec)
-    for row in rref_rows:
+def reduce_mod(vec: Sequence[Fraction], s: Subspace) -> Vector:
+    """Canonical representative of vec modulo the subspace: each RREF row
+    clears its pivot, so the result is zero exactly when vec lies in s."""
+    v = tuple(vec)
+    for row in s:
         pivot = next(i for i, x in enumerate(row) if x != 0)
-        if v[pivot] != 0:
-            f = v[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
+        f = v[pivot]
+        if f != 0:
+            v = tuple(a - f * b for a, b in zip(v, row))
     return v
-
-
-def reduce_mod(vec: Vector, s: Subspace) -> Vector:
-    """Canonical representative of vec modulo the subspace."""
-    return tuple(_reduce_mod(list(vec), list(s)))

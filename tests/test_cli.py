@@ -186,6 +186,24 @@ class TestWeightFiltration:
         assert code == 1
         assert env["error"]["type"] == "MfresError"
 
+    @pytest.mark.parametrize("entry", ["1e5", "0.5", "1_0", " 1"])
+    def test_rejects_entries_other_than_p_or_p_over_q(self, capsys, tmp_path, entry):
+        matrix = tmp_path / "n.json"
+        matrix.write_text(json.dumps([[0, entry], [0, 0]]))
+        code, env = run_json(capsys, "weight-filtration",
+                             "--matrix", str(matrix), "--center", "0")
+        assert code == 1
+        assert env["error"] == {"type": "CorpusError",
+                                "message": f"bad rational {entry!r}"}
+
+    def test_accepts_integer_and_fraction_strings(self, capsys, tmp_path):
+        matrix = tmp_path / "n.json"
+        matrix.write_text(json.dumps([[0, "-3/4", 0], [0, 0, "+2"], [0, 0, 0]]))
+        code, env = run_json(capsys, "weight-filtration",
+                             "--matrix", str(matrix), "--center", "0")
+        assert code == 0
+        assert env["results"]["nilpotency_index"] == 3
+
 
 class TestErrors:
     def test_bad_factorization_corpus(self, capsys):
@@ -220,6 +238,19 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["validate", "{}"], ["psd", "{}"],
+                                      ["weight-filtration", "--matrix", "{}",
+                                       "--center", "0"]])
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, argv):
+        # Python refuses to parse an int of more than 4,300 digits
+        path = tmp_path / "huge.json"
+        path.write_text("[[" + "1" * 5000 + "]]")
+        code, env = run_json(capsys, *(a.format(path) for a in argv))
+        assert code == 1
+        assert env["status"] == "error"
+        assert env["error"]["type"] == "CorpusError"
+        assert env["error"]["message"].startswith(f"{path} is not valid JSON: ")
 
     def test_text_error_rendering(self, capsys):
         code, out = run_cli(capsys, "--format", "text", "validate",

@@ -191,3 +191,32 @@ class TestNaturality:
         assert basis
         for g in basis:
             assert ratmat.mat_mul(g, n_mat) == ratmat.mat_mul(n_prime_mat, g)
+
+
+class TestWorkCounts:
+    """Matrix products made for one operator. The powers of N are computed
+    once, when the operator is built, so the whole pipeline costs e products;
+    the count does not depend on the machine."""
+
+    @pytest.mark.parametrize("partition, conjugate", [
+        ((3, 1), False), ((8,), False), ((4, 2, 1, 1), True)])
+    def test_one_product_per_power(self, partition, conjugate, monkeypatch):
+        mat = jordan_matrix(partition)
+        if conjugate:
+            g = random_invertible(random.Random(23), len(mat))
+            mat = ratmat.mat_mul(ratmat.mat_mul(g, mat), invert_matrix(g))
+        products = []
+        original = ratmat.mat_mul
+
+        def counting(a, b):
+            products.append(None)
+            return original(a, b)
+
+        monkeypatch.setattr(ratmat, "mat_mul", counting)
+        op = NilpotentOperator.from_rows(mat, center=1)
+        wf = weight_filtration(op)
+        verify_weight_axioms(wf)
+        for l in range(0, wf.highest - op.center + 1):
+            primitive_subspace(wf, l)
+        assert op.nilpotency_index == max(partition)
+        assert len(products) == max(partition)
