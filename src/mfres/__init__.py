@@ -10,6 +10,7 @@ All arithmetic is exact (fractions.Fraction); nothing here floats.
 from __future__ import annotations
 
 from .errors import (
+    BudgetError,
     ContainmentError,
     CorpusError,
     FactorizationError,
@@ -98,10 +99,10 @@ from .hodge import (
     verify_weight_axioms,
     weight_filtration,
 )
-from .corpus import CorpusFile, load_corpus, save_corpus
+from .corpus import CorpusFile, load_corpus
 
 __all__ = [
-    "ContainmentError", "CorpusError", "FactorizationError",
+    "BudgetError", "ContainmentError", "CorpusError", "FactorizationError",
     "InfiniteQuotientError", "InternalCheckError", "MfresError",
     "NormalizationError", "ParityError", "PolynomialSyntaxError",
     "RingMismatchError", "SingularityError", "UnknownVariableError",
@@ -126,5 +127,5 @@ __all__ = [
     "NilpotentOperator", "WeightAxiomReport", "WeightFiltration",
     "graded_dimensions", "primitive_subspace", "verify_weight_axioms",
     "weight_filtration",
-    "CorpusFile", "load_corpus", "save_corpus",
+    "CorpusFile", "load_corpus",
 ]

@@ -35,7 +35,6 @@ from .hodge import (
     NilpotentOperator,
     graded_dimensions,
     primitive_subspace,
-    verify_weight_axioms,
     weight_filtration,
 )
 from .mf import MatrixFactorization, cokernel_presentation, tor_lengths
@@ -273,8 +272,8 @@ def _cmd_weight(args, order):
             raise CorpusError("matrix file must hold a list of rows")
         rows.append([parse_fraction(v) for v in row])
     op = NilpotentOperator.from_rows(rows, args.center)
+    # weight_filtration verifies both axioms, raising InternalCheckError otherwise
     wf = weight_filtration(op)
-    report = verify_weight_axioms(wf)
     graded = graded_dimensions(wf)
     primitive = {}
     for l in range(0, wf.highest - op.center + 1):
@@ -287,8 +286,8 @@ def _cmd_weight(args, order):
         "highest": wf.highest,
         "graded": {str(k): graded[k] for k in sorted(graded)},
         "primitive": primitive,
-        "shift_ok": report.shift_ok,
-        "iso_ok": report.iso_ok,
+        "shift_ok": True,
+        "iso_ok": True,
     }, 0
 
 

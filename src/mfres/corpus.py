@@ -37,10 +37,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import CorpusError, MfresError
+from .errors import BudgetError, CorpusError, MfresError
 from .groebner import FreeModuleElement
 from .mf import MatrixFactorization, ModulePresentation, validate_mf
-from .polyring import Polynomial, PolyMatrix, parse_polynomial, to_string
+from .polyring import Polynomial, PolyMatrix, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ def _parse_entry(text: Any, variables, where: str) -> Polynomial:
         raise CorpusError(f"{where}: polynomial entries must be strings")
     try:
         return parse_polynomial(text, variables)
+    except BudgetError as exc:
+        raise BudgetError(f"{where}: {exc}") from exc
     except MfresError as exc:
         raise CorpusError(f"{where}: {exc}") from exc
 
@@ -182,39 +184,6 @@ def load_corpus(path: str | Path) -> CorpusFile:
                       factorizations=tuple(factorizations),
                       modules=tuple(modules),
                       expectations=tuple(dict(e) for e in expectations))
-
-
-def corpus_to_dict(cf: CorpusFile) -> dict:
-    """Plain JSON ready dict; load_corpus(dump) round trips."""
-    return {
-        "name": cf.name,
-        "variables": list(cf.variables),
-        "potential": to_string(cf.potential),
-        "factorizations": [
-            {
-                "label": mf.label,
-                "A": [[to_string(mf.A.entry(i, j)) for j in range(mf.A.cols)]
-                      for i in range(mf.A.rows)],
-                "B": [[to_string(mf.B.entry(i, j)) for j in range(mf.B.cols)]
-                      for i in range(mf.B.rows)],
-            }
-            for mf in cf.factorizations
-        ],
-        "modules": [
-            {
-                "label": mod.label,
-                "ambient_rank": mod.ambient_rank,
-                "relations": [[to_string(p) for p in rel.components]
-                              for rel in mod.relations],
-            }
-            for mod in cf.modules
-        ],
-        "expectations": [dict(e) for e in cf.expectations],
-    }
-
-
-def save_corpus(cf: CorpusFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(corpus_to_dict(cf), indent=2) + "\n")
 
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)

@@ -62,5 +62,16 @@ class CorpusError(MfresError):
     """Malformed corpus file or unknown item name."""
 
 
+class BudgetError(MfresError):
+    """An input would exceed a fixed size budget, named in the message.
+
+    Raised before the oversized object is built. Budgets met in polynomial
+    text also carry the byte offset of the failure."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (offset {offset})")
+        self.offset = offset
+
+
 class InternalCheckError(AssertionError):
     """An invariant the engine guarantees was violated: a bug, not bad input."""

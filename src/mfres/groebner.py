@@ -1,7 +1,8 @@
 """Groebner bases for submodules of free modules over Q[x_0..x_n].
 
 Elements of a rank r free module are stored as maps from (component, exponent
-vector) to Fraction. Monomial orders are global (degrevlex by default, lex on
+vector) to a coefficient: a Fraction at the public boundary, an int inside
+the core. Monomial orders are global (degrevlex by default, lex on
 request); module terms are compared position over term, with lower component
 index taking priority. Global orders are enough here because the only local
 question the engine answers, support at the origin, is reduced to nilpotency
@@ -21,9 +22,21 @@ component, where module terms behave exactly like monomials, so it holds
 for module pairs of equal component as it does for ideals. The coprime
 leading term criterion is not of that kind: it holds only in ambient rank
 one, and only there does a coprime pair discard its class of new pairs of
-equal lcm. Input generators are pre-sorted so the run is independent of the
-caller's ordering, and bases are returned fully interreduced, monic, and
-sorted, hence canonical for a fixed order.
+equal lcm. Input generators are pre-sorted as monic vectors, so the run is
+independent of the caller's ordering and scaling, and bases are returned
+fully interreduced, monic, and sorted, hence canonical for a fixed order.
+
+The core runs on Python ints. Inputs are cleared of denominators once, and
+every basis element is kept as a primitive integer vector: coefficients of
+gcd 1 and a positive leading coefficient. Reduction is pseudo-division:
+_reduce returns (remainder, scale) with scale * vec congruent to the
+remainder, and an S-vector multiplies a and b by the cofactors lc(b)/g and
+lc(a)/g, g = gcd(lc(a), lc(b)). Each step is then the step of the monic
+computation over Q times a nonzero integer, so the run (pairs, reductions,
+leading terms) is the same, and the content is divided out only when a
+remainder joins the basis. Monic Fraction vectors are built only where the
+public functions return them, by dividing by a leading coefficient or a
+scale.
 
 Syzygies, module membership, and coordinates all come from one construction:
 a Groebner basis of the augmented module generated by (g_i, e_i) inside
@@ -35,12 +48,14 @@ decides membership of v and reads off coordinates in terms of the g_i.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import ContainmentError, InfiniteQuotientError
+from .errors import BudgetError, ContainmentError, InfiniteQuotientError
 from .polyring import Monomial, Polynomial, Ring, degrevlex_key, lex_key
 
 Term = tuple[int, Monomial]  # (component, exponent vector)
@@ -141,9 +156,12 @@ def vec_to_element(vec: Vec, rank: int, ring: Ring) -> FreeModuleElement:
 # ---------------------------------------------------------------------------
 # low level vector ops
 
-# A divisor is a monic vector split into its leading term and the rest;
+# Inside the Groebner core vectors have int coefficients. A divisor is a
+# primitive integer vector (its coefficients have gcd 1) split into its
+# leading term, its leading coefficient, which is positive, and the rest;
 # _reduce takes divisors grouped by the component of their leading term.
-Divisor = tuple[Term, tuple[tuple[Term, Fraction], ...]]
+IntVec = dict[Term, int]
+Divisor = tuple[Term, int, tuple[tuple[Term, int], ...]]
 Divisors = dict[int, list[Divisor]]
 
 
@@ -163,13 +181,25 @@ def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def _divisor(vec: Vec, lt: Term) -> Divisor:
-    """vec scaled to be monic, split into its leading term lt and the rest."""
-    lc = vec[lt]
-    tail = tuple((t, c) for t, c in vec.items() if t != lt)
-    if lc != 1:
-        tail = tuple((t, c / lc) for t, c in tail)
-    return lt, tail
+def _integral(vec: Vec) -> tuple[IntVec, int]:
+    """(den * vec, den) for the least den > 0 that clears every denominator."""
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    return {t: c.numerator * (den // c.denominator) for t, c in vec.items()}, den
+
+
+def _divisor(vec: IntVec, lt: Term) -> Divisor:
+    """vec divided by its content, signed so that the coefficient at lt is
+    positive, split into lt, that coefficient and the rest."""
+    g = math.gcd(*vec.values())
+    if vec[lt] < 0:
+        g = -g
+    return lt, vec[lt] // g, tuple((t, c // g) for t, c in vec.items() if t != lt)
+
+
+def _monic(d: Divisor) -> Vec:
+    """The divisor scaled to leading coefficient 1, leading term first."""
+    lt, lc, tail = d
+    return {lt: Fraction(1), **{t: Fraction(c, lc) for t, c in tail}}
 
 
 def _by_component(divisors: Iterable[Divisor]) -> Divisors:
@@ -180,36 +210,50 @@ def _by_component(divisors: Iterable[Divisor]) -> Divisors:
 
 
 def _degree(d: Divisor) -> int:
-    (_, exps), tail = d
+    (_, exps), _, tail = d
     return max([sum(exps)] + [sum(e) for (_, e), _ in tail])
 
 
-def _reduce(vec: Vec, divisors: Divisors, order: MonomialOrder) -> Vec:
-    """Full normal form: every term of the remainder escapes every divisor.
+def _reduce(vec: IntVec, divisors: Divisors, order: MonomialOrder) -> tuple[IntVec, int]:
+    """Full normal form by pseudo-division: (remainder, scale) with scale > 0
+    and scale * vec congruent to the remainder, every term of which escapes
+    every divisor.
 
     The terms still to be reduced live in `work`, and each also sits in a
     min-heap under its heap_key, computed once when the term enters, so the
     leading term is a pop away. A subtraction that cancels a term removes it
-    from `work` only; its heap entry is skipped when popped. The divisor's
-    leading term cancels the popped term exactly, so only its tail is
-    subtracted. Terms leave in descending order, which is the order of the
-    remainder's keys.
+    from `work` only; its heap entry is skipped when popped. To cancel c*t by
+    a divisor whose leading coefficient lc does not divide c, work, remainder
+    and scale are first multiplied by lc / gcd(c, lc); the divisor's leading
+    term then cancels t exactly, so only its tail is subtracted. Terms leave
+    in descending order, which is the order of the remainder's keys.
     """
     key = order.heap_key
     work = dict(vec)
     heap = [(key(t), t) for t in work]
     heapq.heapify(heap)
-    remainder: Vec = {}
+    remainder: IntVec = {}
+    scale = 1
     while heap:
         term = heapq.heappop(heap)[1]
         coeff = work.pop(term, None)
         if coeff is None:
             continue
         exps = term[1]
-        for (_, dexps), tail in divisors.get(term[0], ()):
+        for (_, dexps), lc, tail in divisors.get(term[0], ()):
             if all(a <= b for a, b in zip(dexps, exps)):
+                if coeff % lc:
+                    g = math.gcd(coeff, lc)
+                    m = lc // g
+                    scale *= m
+                    for t in work:
+                        work[t] *= m
+                    for t in remainder:
+                        remainder[t] *= m
+                    factor = -(coeff // g)
+                else:
+                    factor = -(coeff // lc)
                 shift = _mono_sub(exps, dexps)
-                factor = -coeff
                 for (c, e), k in tail:
                     t = (c, tuple(map(add, e, shift)))
                     old = work.get(t)
@@ -225,22 +269,25 @@ def _reduce(vec: Vec, divisors: Divisors, order: MonomialOrder) -> Vec:
                 break
         else:
             remainder[term] = coeff
-    return remainder
+    return remainder, scale
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> Vec:
-    """lcm/lt(a) * a - lcm/lt(b) * b for monic a, b; the leading terms cancel."""
-    (_, ea), tail_a = a
-    (_, eb), tail_b = b
+def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> IntVec:
+    """lc(b)/g * lcm/lt(a) * a - lc(a)/g * lcm/lt(b) * b with g the gcd of
+    the two leading coefficients; the leading terms cancel."""
+    (_, ea), lca, tail_a = a
+    (_, eb), lcb, tail_b = b
+    g = math.gcd(lca, lcb)
+    ma, mb = lcb // g, lca // g
     shift = _mono_sub(lcm, ea)
-    s: Vec = {(c, tuple(map(add, e, shift))): k for (c, e), k in tail_a}
+    s: IntVec = {(c, tuple(map(add, e, shift))): ma * k for (c, e), k in tail_a}
     shift = _mono_sub(lcm, eb)
     for (c, e), k in tail_b:
         t = (c, tuple(map(add, e, shift)))
-        new = s.get(t, 0) - k
+        new = s.get(t, 0) - mb * k
         if new:
             s[t] = new
         else:
@@ -248,12 +295,14 @@ def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> Vec:
     return s
 
 
-def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> list[Vec]:
+def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> list[Divisor]:
     """Reduced Groebner basis of the submodule generated by vecs."""
-    # sorted monic inputs, so the run does not depend on the caller's ordering
-    seeds = [_divisor(v, _lt(v, order)) for v in vecs if v]
+    seeds = [_divisor(_integral(v)[0], _lt(v, order)) for v in vecs if v]
+    # sorted as monic vectors, so the run depends neither on the caller's
+    # ordering nor on how the inputs are scaled
     seeds.sort(key=lambda d: (order.term_key(d[0]), sorted(
-        d[1], key=lambda kv: order.term_key(kv[0]), reverse=True)))
+        ((t, Fraction(c, d[1])) for t, c in d[2]),
+        key=lambda kv: order.term_key(kv[0]), reverse=True)))
 
     basis: list[Divisor] = []
     divisors: Divisors = {}  # the same elements, by component
@@ -300,27 +349,31 @@ def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> lis
         lcm = queued.pop((i, j), None)
         if lcm is None:
             continue  # dropped by criterion B
-        h = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, order)
+        h, _ = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, order)
         if h:
             insert(_divisor(h, next(iter(h))), sugar)  # a remainder lists its leading term first
 
     return _autoreduce(basis, order)
 
 
-def _autoreduce(basis: list[Divisor], order: MonomialOrder) -> list[Vec]:
-    """Minimal, interreduced, monic, sorted descending by leading term.
+def _autoreduce(basis: list[Divisor], order: MonomialOrder) -> list[Divisor]:
+    """Minimal, interreduced, primitive, sorted descending by leading term.
 
     Keeps one element per minimal leading term and reduces its tail by the
-    kept elements, which leaves the unique reduced basis of the submodule.
-    An element's own leading term divides none of its tail terms, nor any
-    term the reduction brings in, since all of them are smaller.
+    kept elements, which leaves the unique reduced basis of the submodule up
+    to scaling. An element's own leading term divides none of its tail
+    terms, nor any term the reduction brings in, since all of them are
+    smaller.
     """
     kept: list[Divisor] = []
     for d in sorted(basis, key=lambda d: order.term_key(d[0])):
-        if not any(_divides(lt, d[0]) for lt, _ in kept):
+        if not any(_divides(lt, d[0]) for lt, _, _ in kept):
             kept.append(d)
     divisors = _by_component(kept)
-    final = [{lt: Fraction(1), **_reduce(dict(tail), divisors, order)} for lt, tail in kept]
+    final = []
+    for lt, lc, tail in kept:
+        rest, scale = _reduce(dict(tail), divisors, order)
+        final.append(_divisor({lt: lc * scale, **rest}, lt))
     final.reverse()
     return final
 
@@ -336,13 +389,11 @@ class GroebnerBasis:
     ambient_rank: int
     order: MonomialOrder
     generators: tuple[FreeModuleElement, ...]
-
-    def _divisors(self) -> Divisors:
-        vecs = [element_to_vec(g) for g in self.generators]
-        return _by_component(_divisor(v, _lt(v, self.order)) for v in vecs)
+    # the generators as primitive integer divisors, in the same order
+    divisors: tuple[Divisor, ...] = field(repr=False, compare=False)
 
     def leading_terms(self) -> list[Term]:
-        return [_lt(element_to_vec(g), self.order) for g in self.generators]
+        return [lt for lt, _, _ in self.divisors]
 
 
 @dataclass(frozen=True)
@@ -369,9 +420,10 @@ def groebner_basis(generators: Sequence[GenLike],
     else:
         if ambient_rank is None or ring is None:
             raise ValueError("empty input needs explicit ambient_rank and ring")
-    vecs = _buchberger([element_to_vec(e) for e in nonzero], ambient_rank, order)
-    gens = tuple(vec_to_element(v, ambient_rank, ring) for v in vecs)
-    return GroebnerBasis(ring=ring, ambient_rank=ambient_rank, order=order, generators=gens)
+    divisors = _buchberger([element_to_vec(e) for e in nonzero], ambient_rank, order)
+    gens = tuple(vec_to_element(_monic(d), ambient_rank, ring) for d in divisors)
+    return GroebnerBasis(ring=ring, ambient_rank=ambient_rank, order=order, generators=gens,
+                         divisors=tuple(divisors))
 
 
 def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial:
@@ -379,8 +431,10 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
     el = _to_element(x)
     if el.rank != gb.ambient_rank:
         raise ValueError("rank mismatch with basis")
-    red = _reduce(element_to_vec(el), gb._divisors(), gb.order)
-    out = vec_to_element(red, gb.ambient_rank, el.ring)
+    vec, den = _integral(element_to_vec(el))
+    red, scale = _reduce(vec, _by_component(gb.divisors), gb.order)
+    scale *= den
+    out = vec_to_element({t: Fraction(c, scale) for t, c in red.items()}, gb.ambient_rank, el.ring)
     if isinstance(x, Polynomial):
         return out.components[0]
     return out
@@ -406,25 +460,27 @@ class _AugmentedBasis:
             vec[(self.rank + i, zero_exps)] = Fraction(1)
             aug.append(vec)
         self.basis = _buchberger(aug, self.rank + self.count, order)
-        self.divisors = _by_component(_divisor(v, _lt(v, order)) for v in self.basis)
+        self.divisors = _by_component(self.basis)
 
     def syzygies(self) -> list[FreeModuleElement]:
         out = []
-        for v in self.basis:
-            if all(comp >= self.rank for comp, _ in v):
-                shifted = {(comp - self.rank, exps): c for (comp, exps), c in v.items()}
+        for d in self.basis:
+            if d[0][0] >= self.rank:  # the leading term has the least component
+                shifted = {(comp - self.rank, exps): c for (comp, exps), c in _monic(d).items()}
                 out.append(vec_to_element(shifted, self.count, self.ring))
         return out
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
-        red = _reduce(element_to_vec(el), self.divisors, self.order)
+        vec, den = _integral(element_to_vec(el))
+        red, scale = _reduce(vec, self.divisors, self.order)
         if any(comp < self.rank for comp, _ in red):
             return None
-        # (el, 0) reduces to (0, w) with el = -sum w_i g_i
+        # s * (el, 0) reduces to (0, w) with el = -sum w_i g_i / s
+        scale *= den
         coeffs = [dict() for _ in range(self.count)]
         for (comp, exps), c in red.items():
-            coeffs[comp - self.rank][exps] = -c
+            coeffs[comp - self.rank][exps] = Fraction(-c, scale)
         return [Polynomial(self.ring, d) for d in coeffs]
 
 
@@ -450,6 +506,12 @@ def express_in_terms(x: GenLike, generators: Sequence[GenLike],
 # ---------------------------------------------------------------------------
 # quotient dimensions
 
+# Budget on quotient_dimension: standard monomials are searched for in the
+# boxes cut out by the pure powers among the leading terms, and the boxes'
+# total size is checked before the walk.
+MAX_QUOTIENT_BOX = 100_000
+
+
 def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
     """Standard monomial basis of Q[x]^r / M, or None when infinite."""
     r = gb.ambient_rank
@@ -460,28 +522,27 @@ def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
     for comp, exps in gb.leading_terms():
         lts_by_comp[comp].append(exps)
 
-    monomials: list[tuple[int, Monomial]] = []
+    boxes = []
     for comp in range(r):
-        lts = lts_by_comp[comp]
         bounds = []
         for i in range(nvars):
-            pure = [e[i] for e in lts if all(e[j] == 0 for j in range(nvars) if j != i)]
+            pure = [e[i] for e in lts_by_comp[comp]
+                    if all(e[j] == 0 for j in range(nvars) if j != i)]
             if not pure:
                 return None  # no pure power of x_i leads in this component
             bounds.append(min(pure))
+        boxes.append(bounds)
+    size = sum(math.prod(bounds) for bounds in boxes)
+    if size > MAX_QUOTIENT_BOX:
+        raise BudgetError(f"quotient walk over {size} monomials exceeds "
+                          f"MAX_QUOTIENT_BOX = {MAX_QUOTIENT_BOX}")
 
-        def walk(i: int, cur: list[int]) -> None:
-            if i == nvars:
-                exps = tuple(cur)
-                if not any(all(a <= b for a, b in zip(lt, exps)) for lt in lts):
-                    monomials.append((comp, exps))
-                return
-            for e in range(bounds[i]):
-                cur.append(e)
-                walk(i + 1, cur)
-                cur.pop()
-
-        walk(0, [])
+    monomials: list[tuple[int, Monomial]] = []
+    for comp, bounds in enumerate(boxes):
+        lts = lts_by_comp[comp]
+        for exps in product(*map(range, bounds)):
+            if not any(all(a <= b for a, b in zip(lt, exps)) for lt in lts):
+                monomials.append((comp, exps))
 
     monomials.sort(key=lambda t: (t[0], gb.order.mono_key(t[1])))
     return FiniteQuotientBasis(tuple(monomials), len(monomials))

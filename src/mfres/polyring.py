@@ -10,17 +10,24 @@ exact by construction.
 The module also provides the text grammar (rational literals, variables,
 + - * ^, parentheses, no implicit multiplication), derivatives, Jacobian
 generators, and exact determinants of polynomial matrices (Hessians,
-adjugates).
+adjugates). The parser checks fixed budgets on literals and powers before
+it builds anything large, and raises BudgetError past them.
+
+PolyMatrix products run on Python ints: each factor is scaled once by the
+lcm of its denominators, entries accumulate as int coefficients, and each
+output term is divided back to a Fraction once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
+    BudgetError,
     PolynomialSyntaxError,
     RingMismatchError,
     UnknownVariableError,
@@ -272,6 +279,21 @@ def to_string(p: Polynomial) -> str:
 
 _OPS = set("+-*^()/")
 
+# Budgets on polynomial text, each checked before anything large is built:
+# the digits of an integer literal, an exponent, and the number of terms a
+# power of a polynomial with several terms can have (see _power_terms).
+MAX_LITERAL_DIGITS = 1000
+MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 2000
+
+
+def _power_terms(p: Polynomial, n: int) -> int:
+    """Upper bound on the number of terms of p^n for p with at least two
+    terms: the multisets of n terms of p, and the monomials of degree at
+    most n * deg p, whichever is fewer."""
+    v = len(p.ring)
+    return min(comb(n + len(p) - 1, n), comb(n * p.total_degree() + v, v))
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -327,6 +349,14 @@ class _Parser:
     def fail(self, message: str):
         raise PolynomialSyntaxError(message, self.peek()[2])
 
+    def integer(self) -> int:
+        """Consume a NUM token, counting its digits before int reads them."""
+        kind, text, offset = self.advance()
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise BudgetError(f"integer literal of {len(text)} digits exceeds "
+                              f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}", offset)
+        return int(text)
+
     def parse(self) -> Polynomial:
         p = self.expr()
         kind, text, offset = self.peek()
@@ -361,25 +391,28 @@ class _Parser:
         p = self.atom()
         while self.peek()[0] == "^":
             self.advance()
-            kind, text, offset = self.peek()
+            kind, _, offset = self.peek()
             if kind != "NUM":
                 self.fail("exponent must be a non-negative integer")
-            self.advance()
-            p = p ** int(text)
+            n = self.integer()
+            if n > MAX_EXPONENT:
+                raise BudgetError(f"exponent {n} exceeds MAX_EXPONENT = {MAX_EXPONENT}", offset)
+            if len(p) > 1 and (bound := _power_terms(p, n)) > MAX_POWER_TERMS:
+                raise BudgetError(f"power {n} of a {len(p)}-term polynomial may have {bound} "
+                                  f"terms, over MAX_POWER_TERMS = {MAX_POWER_TERMS}", offset)
+            p = p ** n
         return p
 
     def atom(self) -> Polynomial:
         kind, text, offset = self.peek()
         if kind == "NUM":
-            self.advance()
-            num = int(text)
+            num = self.integer()
             if self.peek()[0] == "/":
                 self.advance()
-                kind2, text2, offset2 = self.peek()
+                kind2, _, offset2 = self.peek()
                 if kind2 != "NUM":
                     self.fail("expected integer denominator")
-                self.advance()
-                den = int(text2)
+                den = self.integer()
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", offset2)
                 return Polynomial.constant(self.ring, Fraction(num, den))
@@ -503,22 +536,31 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix product; zero entries on either side are skipped, so the
-        cost follows the number of nonzero products, not rows * cols * inner."""
+        """Exact matrix product in int arithmetic: each factor is scaled once
+        by the lcm of its denominators, every output entry is accumulated as a
+        map from monomials to ints, and each output term is divided back once.
+        Zero entries on either side are skipped, so the cost follows the
+        number of nonzero products, not rows * cols * inner."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        zero = Polynomial.zero(self.ring) if self.rows and other.cols else None
-        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b]
-                      for k in range(other.rows)]
+        ring = self.ring if self.rows and other.cols else None
+        da, left = _cleared_rows(self)
+        db, right = _cleared_rows(other)
+        den = da * db
         out = []
-        for i in range(self.rows):
-            acc: dict[int, Polynomial] = {}
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in other_rows[k]:
-                        prev = acc.get(j)
-                        acc[j] = a * b if prev is None else prev + a * b
-            out.extend(acc.get(j, zero) for j in range(other.cols))
+        for row in left:
+            acc: dict[int, dict[Monomial, int]] = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    terms = acc.setdefault(j, {})
+                    for e1, c1 in a:
+                        for e2, c2 in b:
+                            e = tuple(map(add, e1, e2))
+                            terms[e] = terms.get(e, 0) + c1 * c2
+            for j in range(other.cols):
+                terms = acc.get(j, {})
+                out.append(Polynomial._trusted(
+                    ring, {e: Fraction(c, den) for e, c in terms.items() if c}))
         return PolyMatrix(self.rows, other.cols, tuple(out))
 
     def scale(self, f) -> "PolyMatrix":
@@ -572,6 +614,15 @@ class PolyMatrix:
                 cof = sub.determinant()
                 out.append(cof if (i + j) % 2 == 0 else -cof)
         return PolyMatrix(n, n, tuple(out))
+
+
+def _cleared_rows(m: PolyMatrix) -> tuple[int, list[list[tuple[int, list[tuple[Monomial, int]]]]]]:
+    """(d, rows) with d the lcm of every denominator in m and rows[i] the
+    nonzero entries of row i of d * m, as (column, [(exponents, int)])."""
+    d = lcm(*(c.denominator for p in m.entries for c in p._terms.values()))
+    return d, [[(j, [(e, c.numerator * (d // c.denominator)) for e, c in p._terms.items()])
+                for j, p in enumerate(m.row(i)) if p]
+               for i in range(m.rows)]
 
 
 def hessian_determinant(f: Polynomial) -> Polynomial:

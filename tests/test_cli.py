@@ -178,6 +178,23 @@ class TestWeightFiltration:
         assert results["primitive"] == {"0": 1, "1": 0, "2": 1, "3": 0}
         assert results["shift_ok"] and results["iso_ok"]
 
+    def test_axioms_verified_once(self, capsys, tmp_path, monkeypatch):
+        import mfres.hodge
+        calls = []
+        original = mfres.hodge.verify_weight_axioms
+
+        def counting(wf):
+            calls.append(None)
+            return original(wf)
+        monkeypatch.setattr(mfres.hodge, "verify_weight_axioms", counting)
+        matrix = tmp_path / "n.json"
+        matrix.write_text(json.dumps([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        code, env = run_json(capsys, "weight-filtration",
+                             "--matrix", str(matrix), "--center", "0")
+        assert code == 0
+        assert env["results"]["shift_ok"] is True and env["results"]["iso_ok"] is True
+        assert len(calls) == 1
+
     def test_non_nilpotent_is_a_domain_error(self, capsys, tmp_path):
         matrix = tmp_path / "id.json"
         matrix.write_text(json.dumps([[1, 0], [0, 1]]))
@@ -251,6 +268,21 @@ class TestErrors:
         assert env["status"] == "error"
         assert env["error"]["type"] == "CorpusError"
         assert env["error"]["message"].startswith(f"{path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("command, potential, limit", [
+        ("validate", "(x+y+1)^2500", "MAX_EXPONENT"),
+        ("validate", "(x+y+1)^300", "MAX_POWER_TERMS"),
+        ("milnor", "x^3 + y^2 + x^400000000*y^3", "MAX_EXPONENT"),
+        ("milnor", "x^400 + y^400", "MAX_QUOTIENT_BOX"),
+    ])
+    def test_budget_errors_exit_1(self, capsys, tmp_path, command, potential, limit):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "variables": ["x", "y"],
+                                    "potential": potential}))
+        code, env = run_json(capsys, command, str(path))
+        assert code == 1
+        assert env["error"]["type"] == "BudgetError"
+        assert limit in env["error"]["message"]
 
     def test_text_error_rendering(self, capsys):
         code, out = run_cli(capsys, "--format", "text", "validate",

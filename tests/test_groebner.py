@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfres.groebner
 from mfres import (
+    BudgetError,
     ContainmentError,
     DEGREVLEX,
     LEX,
@@ -160,6 +161,20 @@ class TestQuotients:
 
     def test_zero_kernel(self):
         assert subquotient_dimension([], []) == 0
+
+
+class TestQuotientBudget:
+    def test_box_is_checked_before_the_walk(self, monkeypatch):
+        gb = groebner_basis([poly("x^400"), poly("y^400")])
+
+        def refuse(*ranges):
+            raise AssertionError("the walk started")
+        monkeypatch.setattr(mfres.groebner, "product", refuse)
+        with pytest.raises(BudgetError, match="MAX_QUOTIENT_BOX"):
+            quotient_dimension(gb)
+
+    def test_an_infinite_quotient_is_not_a_budget_error(self):
+        assert quotient_dimension(groebner_basis([poly("x^400")])) is None
 
 
 class TestOriginSupport:
@@ -340,6 +355,63 @@ class TestAgainstPlainBuchberger:
     @settings(max_examples=60, deadline=None)
     def test_submodules(self, gens, order):
         self.check(gens, order)
+
+
+def _rational_polynomials(ring, max_exp: int, max_terms: int):
+    monomials = st.tuples(*[st.integers(0, max_exp)] * len(ring))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+    return st.dictionaries(monomials, coefficients, max_size=max_terms).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+@st.composite
+def _rational_case(draw):
+    """Generators of a submodule of Q[x, y]^rank, an element x, and
+    multipliers, all with rational coefficients."""
+    rank = draw(st.sampled_from([1, 2]))
+    polys = _rational_polynomials(XY, 2, 3)
+    gens = [FreeModuleElement(tuple(draw(polys) for _ in range(rank)))
+            for _ in range(draw(st.integers(1, 3)))]
+    x = FreeModuleElement(tuple(draw(polys) for _ in range(rank)))
+    multipliers = [draw(_rational_polynomials(XY, 1, 2)) for _ in gens]
+    return gens, x, multipliers
+
+
+def _combination(coords, gens):
+    return FreeModuleElement(tuple(
+        sum((c * g.components[i] for c, g in zip(coords, gens)), Polynomial.zero(XY))
+        for i in range(gens[0].rank)))
+
+
+class TestRationalCoefficients:
+    """Reduction runs on integers inside; results on rational inputs must be
+    exact all the same."""
+
+    @given(_rational_case())
+    @settings(max_examples=60, deadline=None)
+    def test_normal_form_differs_by_a_member(self, case):
+        gens, x, _ = case
+        gb = groebner_basis(gens)
+        r = normal_form(x, gb)
+        diff = FreeModuleElement(tuple(a - b for a, b in zip(x.components, r.components)))
+        coords = express_in_terms(diff, gens)
+        assert coords is not None
+        assert _combination(coords, gens) == diff
+        lts = [_ref_lt({(c, e): v for c, p in enumerate(g.components) for e, v in p.items()},
+                       "degrevlex") for g in gb.generators]
+        for comp, p in enumerate(r.components):
+            for exps, _ in p.items():
+                assert not any(c == comp and all(a <= b for a, b in zip(e, exps))
+                               for c, e in lts)
+
+    @given(_rational_case())
+    @settings(max_examples=60, deadline=None)
+    def test_express_rebuilds_members_exactly(self, case):
+        gens, _, multipliers = case
+        target = _combination(multipliers, gens)
+        coords = express_in_terms(target, gens)
+        assert coords is not None
+        assert _combination(coords, gens) == target
 
 
 class TestWorkCounts:

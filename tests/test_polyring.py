@@ -3,9 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfres import (
+    BudgetError,
     Polynomial,
     PolyMatrix,
     PolynomialSyntaxError,
@@ -63,6 +64,44 @@ class TestParsing:
     def test_empty_input(self):
         with pytest.raises(PolynomialSyntaxError):
             poly("")
+
+
+class TestParserBudgets:
+    """Oversized text is refused before the big object is built."""
+
+    @pytest.fixture
+    def no_powers(self, monkeypatch):
+        original = Polynomial.__pow__
+
+        def refuse(self, n):
+            assert n < 100, "a large power was expanded"
+            return original(self, n)
+        monkeypatch.setattr(Polynomial, "__pow__", refuse)
+
+    def test_power_of_a_sum_predicted_too_large(self, no_powers):
+        # (x + y + 1)^300 has 45,451 terms and does not finish parsing in 10 s
+        with pytest.raises(BudgetError, match="MAX_POWER_TERMS") as info:
+            poly("(x + y + 1)^300")
+        assert info.value.offset == 12
+
+    @pytest.mark.parametrize("text", ["x^1001", "x^3 + y^2 + x^400000000*y^3"])
+    def test_exponent_cap(self, text, no_powers):
+        with pytest.raises(BudgetError, match="MAX_EXPONENT"):
+            poly(text)
+
+    def test_exponent_too_long_for_int(self, no_powers):
+        with pytest.raises(BudgetError, match="MAX_LITERAL_DIGITS"):
+            poly("x^" + "9" * 5000)
+
+    def test_coefficient_too_long_for_int(self):
+        with pytest.raises(BudgetError, match="MAX_LITERAL_DIGITS") as info:
+            poly("x + 1/" + "7" * 5000)
+        assert info.value.offset == 6
+
+    def test_within_budget(self):
+        assert poly("x^1000").total_degree() == 1000
+        assert len(poly("(x + y)^20")) == 21
+        assert poly("(x + 1)^0") == poly("1")
 
 
 class TestStringRoundTrip:
@@ -165,6 +204,58 @@ class TestPolyMatrix:
         zero = (a @ b).entry(0, 0)
         assert zero == Polynomial.zero(XY) and hash(zero) == hash(Polynomial.zero(XY))
         assert (poly("x") - poly("x")).terms == {}
+
+
+def _naive_product(a: PolyMatrix, b: PolyMatrix) -> list[list[dict]]:
+    """Entries of a @ b as {exponents: Fraction}, by the triple loop."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc: dict = {}
+            for k in range(a.cols):
+                for e1, c1 in a.entry(i, k).items():
+                    for e2, c2 in b.entry(k, j).items():
+                        e = (e1[0] + e2[0], e1[1] + e2[1])
+                        acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+            row.append({e: c for e, c in acc.items() if c != 0})
+        out.append(row)
+    return out
+
+
+_entries = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=3)
+
+
+@st.composite
+def _factors(draw):
+    rows, inner, cols = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def mat(r, c):
+        return PolyMatrix(r, c, tuple(Polynomial(XY, draw(_entries)) for _ in range(r * c)))
+    return mat(rows, inner), mat(inner, cols)
+
+
+class TestMatmulAgainstNaive:
+    @given(_factors())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_triple_loop(self, factors):
+        a, b = factors
+        if a.rows and b.cols and not a.cols:
+            # an empty factor carries no ring, so there is none for the zeros
+            with pytest.raises(ValueError):
+                a @ b
+            return
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        want = _naive_product(a, b)
+        for i in range(a.rows):
+            for j in range(b.cols):
+                got = prod.entry(i, j)
+                assert got.ring == XY
+                assert got.terms == want[i][j]
+                assert all(type(c) is Fraction for _, c in got.items())
 
 
 class TestConstructorValidation:
