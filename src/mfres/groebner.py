@@ -36,13 +36,23 @@ computation over Q times a nonzero integer, so the run (pairs, reductions,
 leading terms) is the same, and the content is divided out only when a
 remainder joins the basis. Monic Fraction vectors are built only where the
 public functions return them, by dividing by a leading coefficient or a
-scale.
+scale. The scale of one reduction is capped at MAX_COEFFICIENT_BITS, since
+runaway coefficient growth shows there first.
 
-Syzygies, module membership, and coordinates all come from one construction:
-a Groebner basis of the augmented module generated by (g_i, e_i) inside
-Q^r + Q^k, with the first block dominating the tag block. Basis elements
-supported only on the tag block generate the syzygy module; reducing (v, 0)
-decides membership of v and reads off coordinates in terms of the g_i.
+Syzygies, images, module membership, and coordinates all come from one
+construction: a Groebner basis of the augmented module generated by
+(g_i, e_i) inside Q^r + Q^k, with the first block dominating the tag block.
+Its elements led by a tag lie in the tag block and form a reduced basis of
+the syzygy module; the first-block parts of the others form a reduced basis
+of the span of the g_i; reducing (v, 0) decides membership of v and reads
+off coordinates in terms of the g_i.
+
+Dimensions of subquotients are counts of leading terms. For submodules
+I inside K and one term order, K and I have echelon bases over Q indexed by
+their leading terms (Macaulay's basis theorem), so dim K/I is the number of
+terms in LT(K) but not in LT(I), the monomial modules the leading terms
+generate. A homology dimension ker d / im d' thus needs only the augmented
+bases of d and d', and any other subquotient two plain Groebner bases.
 """
 
 from __future__ import annotations
@@ -165,6 +175,13 @@ Divisor = tuple[Term, int, tuple[tuple[Term, int], ...]]
 Divisors = dict[int, list[Divisor]]
 
 
+# Budget on pseudo-division: the bits of the scale one _reduce call
+# multiplies its input by, checked each time the scale grows. Runaway
+# coefficient growth is what makes a Buchberger run hang; the largest scale
+# any test, benchmark or reference input reaches is far below it.
+MAX_COEFFICIENT_BITS = 8192
+
+
 def _lt(vec: Vec, order: MonomialOrder) -> Term:
     return max(vec, key=order.term_key)
 
@@ -246,6 +263,9 @@ def _reduce(vec: IntVec, divisors: Divisors, order: MonomialOrder) -> tuple[IntV
                     g = math.gcd(coeff, lc)
                     m = lc // g
                     scale *= m
+                    if scale.bit_length() > MAX_COEFFICIENT_BITS:
+                        raise BudgetError(f"pseudo-division scale of {scale.bit_length()} bits "
+                                          f"exceeds MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}")
                     for t in work:
                         work[t] *= m
                     for t in remainder:
@@ -444,7 +464,9 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
 # syzygies, membership, coordinates
 
 class _AugmentedBasis:
-    """Groebner data for (g_i, e_i) with original components dominating tags."""
+    """Groebner data for (g_i, e_i) with original components dominating tags;
+    `kernel` (tags shifted to components 0..k-1) and `image` are the reduced
+    bases of the syzygy module and of the span of the g_i read off it."""
 
     def __init__(self, gens: list[FreeModuleElement], order: MonomialOrder):
         if not gens:
@@ -459,16 +481,21 @@ class _AugmentedBasis:
             vec = element_to_vec(g)
             vec[(self.rank + i, zero_exps)] = Fraction(1)
             aug.append(vec)
-        self.basis = _buchberger(aug, self.rank + self.count, order)
-        self.divisors = _by_component(self.basis)
+        basis = _buchberger(aug, self.rank + self.count, order)
+        self.divisors = _by_component(basis)
+        r = self.rank
+        self.kernel: list[Divisor] = []
+        self.image: list[Divisor] = []
+        for (comp, exps), lc, tail in basis:
+            if comp >= r:
+                self.kernel.append(((comp - r, exps), lc,
+                                    tuple(((c - r, e), k) for (c, e), k in tail)))
+            else:
+                first = {t: k for t, k in tail if t[0] < r}
+                self.image.append(_divisor({(comp, exps): lc, **first}, (comp, exps)))
 
     def syzygies(self) -> list[FreeModuleElement]:
-        out = []
-        for d in self.basis:
-            if d[0][0] >= self.rank:  # the leading term has the least component
-                shifted = {(comp - self.rank, exps): c for (comp, exps), c in _monic(d).items()}
-                out.append(vec_to_element(shifted, self.count, self.ring))
-        return out
+        return [vec_to_element(_monic(d), self.count, self.ring) for d in self.kernel]
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
@@ -506,9 +533,10 @@ def express_in_terms(x: GenLike, generators: Sequence[GenLike],
 # ---------------------------------------------------------------------------
 # quotient dimensions
 
-# Budget on quotient_dimension: standard monomials are searched for in the
-# boxes cut out by the pure powers among the leading terms, and the boxes'
-# total size is checked before the walk.
+# Budget on quotient walks. quotient_dimension searches for standard
+# monomials in the boxes cut out by the pure powers among the leading terms
+# and checks the boxes' total size before the walk; the subquotient walk of
+# _leading_gap stops when it would count past it.
 MAX_QUOTIENT_BOX = 100_000
 
 
@@ -548,39 +576,68 @@ def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
     return FiniteQuotientBasis(tuple(monomials), len(monomials))
 
 
+def _leading_gap(kernel: list[Divisor], image: list[Divisor], order: MonomialOrder) -> int:
+    """dim over Q of K / I, given reduced Groebner bases of I inside K, as
+    the number of terms in LT(K) but not in LT(I).
+
+    First every image element must reduce to zero modulo the kernel, or
+    ContainmentError. Then every variable x_i must act nilpotently on each
+    minimal generator m of LT(K) outside LT(I), some x_i^a m lying in
+    LT(I), or InfiniteQuotientError. Last a walk from those generators, one
+    variable at a time, counts the gap: a term outside LT(I) has all its
+    divisors above m outside LT(I) too, so stopping at LT(I) misses none.
+    """
+    divisors = _by_component(kernel)
+    for lt, lc, tail in image:
+        if _reduce({lt: lc, **dict(tail)}, divisors, order)[0]:
+            raise ContainmentError("image generators are not in the kernel span")
+    walls: dict[int, list[Monomial]] = {}
+    for (comp, exps), _, _ in image:
+        walls.setdefault(comp, []).append(exps)
+
+    def walled(comp: int, exps: Monomial) -> bool:
+        return any(all(a <= b for a, b in zip(w, exps)) for w in walls.get(comp, ()))
+
+    seen = {lt for lt, _, _ in kernel if not walled(*lt)}
+    for comp, exps in seen:
+        for i in range(len(exps)):
+            # x_i^a m is in LT(I) for some a when a wall bounds m off the x_i axis
+            if not any(all(a <= b for j, (a, b) in enumerate(zip(w, exps)) if j != i)
+                       for w in walls.get(comp, ())):
+                raise InfiniteQuotientError("subquotient is not finite dimensional")
+    stack = list(seen)
+    while stack:
+        comp, exps = stack.pop()
+        for i in range(len(exps)):
+            term = (comp, exps[:i] + (exps[i] + 1,) + exps[i + 1:])
+            if term not in seen and not walled(*term):
+                if len(seen) == MAX_QUOTIENT_BOX:
+                    raise BudgetError(f"subquotient walk passes MAX_QUOTIENT_BOX = "
+                                      f"{MAX_QUOTIENT_BOX} monomials")
+                seen.add(term)
+                stack.append(term)
+    return len(seen)
+
+
 def subquotient_dimension(kernel_gens: Sequence[GenLike],
                           image_gens: Sequence[GenLike],
                           order: MonomialOrder = DEGREVLEX) -> int:
     """dim over Q of (span kernel_gens) / (span image_gens).
 
-    Presents the subquotient as Q^k modulo the syzygies of the kernel
-    generators plus the coordinate vectors of the image generators, then
-    counts standard monomials of that quotient.
+    One Groebner basis of each span; the dimension is a count of leading
+    terms (see _leading_gap), which also checks that the image span lies in
+    the kernel span (ContainmentError) and that the quotient is finite
+    (InfiniteQuotientError).
     """
     kernel = [_to_element(g) for g in kernel_gens]
     image = [_to_element(g) for g in image_gens]
-    if not kernel:
-        if any(not g.is_zero() for g in image):
-            raise ContainmentError("image generators outside the zero kernel span")
-        return 0
-    aug = _AugmentedBasis(kernel, order)
-    relations: list[FreeModuleElement] = list(aug.syzygies())
-    for idx, g in enumerate(image):
-        if g.rank != aug.rank:
-            raise ValueError("kernel and image generators have different ranks")
-        coords = aug.express(g)
-        if coords is None:
-            raise ContainmentError(f"image generator {idx} is not in the kernel span")
-        if any(not p.is_zero() for p in coords):
-            relations.append(FreeModuleElement(tuple(coords)))
-    if not relations:
-        # nonzero kernel span modulo nothing: infinite over Q
-        raise InfiniteQuotientError("subquotient is not finite dimensional")
-    gb = groebner_basis(relations, order)
-    q = quotient_dimension(gb)
-    if q is None:
-        raise InfiniteQuotientError("subquotient is not finite dimensional")
-    return q.dimension
+    ranks = {g.rank for g in kernel + image}
+    if len(ranks) > 1:
+        raise ValueError("kernel and image generators have different ranks")
+    rank = ranks.pop() if ranks else 1
+    kernel_basis, image_basis = (_buchberger([element_to_vec(g) for g in gens], rank, order)
+                                 for gens in (kernel, image))
+    return _leading_gap(kernel_basis, image_basis, order)
 
 
 def origin_support_check(gb: GroebnerBasis) -> bool:

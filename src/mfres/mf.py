@@ -14,9 +14,10 @@ mixed terms in odd degree, with differential d(alpha) = d' alpha - (-1)^|alpha|
 alpha d. Flattening matrix entries row major, vec(M X N) = (M (x) N^T) vec(X),
 turns both differentials into 2 x 2 block matrices of Kronecker products of
 A, B, A', B' with identities (see hom_complex), placed entry by entry from the
-nonzero entries only. Homology dimensions reduce to syzygy plus subquotient
-computations over the polynomial ring. Stable Ext and Tor are read off the
-periodic windows; both are honest Q dimensions, never mod p shortcuts.
+nonzero entries only. Homology dimensions are counts of leading terms: one
+Groebner basis per differential holds both its kernel and its image. Stable
+Ext and Tor are read off the periodic windows; both are honest Q dimensions,
+never mod p shortcuts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .groebner import (
     DEGREVLEX,
     FreeModuleElement,
     MonomialOrder,
-    groebner_basis,
+    _AugmentedBasis,
+    _leading_gap,
     subquotient_dimension,
     syzygy_basis,
 )
@@ -204,17 +206,23 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
 
 def homology_dimensions(c: TwoPeriodicComplex,
                         order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
-    """Exact Q dimensions (h_even, h_odd) of the complex homology."""
-    def columns(m: PolyMatrix) -> list[FreeModuleElement]:
-        return [FreeModuleElement(m.column(j)) for j in range(m.cols)]
+    """Exact Q dimensions (h_even, h_odd) of the complex homology.
 
-    cols_eo = columns(c.d_even_to_odd)
-    cols_oe = columns(c.d_odd_to_even)
-    ker_even = syzygy_basis(cols_eo, order)
-    ker_odd = syzygy_basis(cols_oe, order)
-    h_even = subquotient_dimension(ker_even, cols_oe, order)
-    h_odd = subquotient_dimension(ker_odd, cols_eo, order)
-    return (h_even, h_odd)
+    One tag-augmented Groebner basis per differential holds reduced bases
+    of both its kernel and its image, and each homology dimension is the
+    count of leading terms of a kernel outside the other image, after an
+    exact check that the image lies in the kernel.
+    """
+    def kernel_and_image(m: PolyMatrix):
+        # only these two outlive the run, so one augmented basis is alive at a time
+        if not m.cols:
+            return [], []
+        aug = _AugmentedBasis([FreeModuleElement(m.column(j)) for j in range(m.cols)], order)
+        return aug.kernel, aug.image
+
+    ker_eo, im_eo = kernel_and_image(c.d_even_to_odd)
+    ker_oe, im_oe = kernel_and_image(c.d_odd_to_even)
+    return (_leading_gap(ker_eo, im_oe, order), _leading_gap(ker_oe, im_eo, order))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ exact by construction.
 The module also provides the text grammar (rational literals, variables,
 + - * ^, parentheses, no implicit multiplication), derivatives, Jacobian
 generators, and exact determinants of polynomial matrices (Hessians,
-adjugates). The parser checks fixed budgets on literals and powers before
-it builds anything large, and raises BudgetError past them.
+adjugates). The parser checks fixed budgets on literals, exponents and the
+powers in one text before it builds anything large, and raises BudgetError
+past them.
 
 PolyMatrix products run on Python ints: each factor is scaled once by the
 lcm of its denominators, entries accumulate as int coefficients, and each
@@ -280,8 +281,9 @@ def to_string(p: Polynomial) -> str:
 _OPS = set("+-*^()/")
 
 # Budgets on polynomial text, each checked before anything large is built:
-# the digits of an integer literal, an exponent, and the number of terms a
-# power of a polynomial with several terms can have (see _power_terms).
+# the digits of an integer literal, an exponent, and the number of terms the
+# powers of polynomials with several terms in one text can have, summed over
+# the text (see _power_terms).
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2000
@@ -337,6 +339,7 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring)}
+        self.power_terms = 0  # predicted terms of the powers expanded so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -397,9 +400,14 @@ class _Parser:
             n = self.integer()
             if n > MAX_EXPONENT:
                 raise BudgetError(f"exponent {n} exceeds MAX_EXPONENT = {MAX_EXPONENT}", offset)
-            if len(p) > 1 and (bound := _power_terms(p, n)) > MAX_POWER_TERMS:
-                raise BudgetError(f"power {n} of a {len(p)}-term polynomial may have {bound} "
-                                  f"terms, over MAX_POWER_TERMS = {MAX_POWER_TERMS}", offset)
+            if len(p) > 1:
+                bound = _power_terms(p, n)
+                self.power_terms += bound
+                if self.power_terms > MAX_POWER_TERMS:
+                    raise BudgetError(
+                        f"power {n} of a {len(p)}-term polynomial may have {bound} terms, "
+                        f"{self.power_terms} with the powers before it in this text, over "
+                        f"MAX_POWER_TERMS = {MAX_POWER_TERMS}", offset)
             p = p ** n
         return p
 

@@ -20,6 +20,7 @@ from mfres import (
     get_order,
     groebner_basis,
     hom_complex,
+    homology_dimensions,
     jacobian_generators,
     normal_form,
     origin_support_check,
@@ -175,6 +176,11 @@ class TestQuotientBudget:
 
     def test_an_infinite_quotient_is_not_a_budget_error(self):
         assert quotient_dimension(groebner_basis([poly("x^400")])) is None
+
+    def test_subquotient_walk_is_budgeted(self):
+        # Q[x, y] / (x^400, y^400) has 160,000 standard monomials
+        with pytest.raises(BudgetError, match="MAX_QUOTIENT_BOX"):
+            subquotient_dimension([Polynomial.one(XY)], [poly("x^400"), poly("y^400")])
 
 
 class TestOriginSupport:
@@ -414,6 +420,66 @@ class TestRationalCoefficients:
         assert _combination(coords, gens) == target
 
 
+def _presentation_route(kernel, image, order):
+    """dim (span kernel) / (span image) as Q[x]^k modulo the syzygies of the
+    kernel generators plus the coordinates of the image generators."""
+    relations = list(syzygy_basis(kernel, order))
+    for g in image:
+        coords = express_in_terms(g, kernel, order)
+        if coords is None:
+            raise ContainmentError("image generator outside the kernel span")
+        if any(not p.is_zero() for p in coords):
+            relations.append(FreeModuleElement(tuple(coords)))
+    if not relations:
+        raise InfiniteQuotientError("nothing to divide by")
+    q = quotient_dimension(groebner_basis(relations, order))
+    if q is None:
+        raise InfiniteQuotientError("infinite presentation")
+    return q.dimension
+
+
+@st.composite
+def _subquotient_case(draw):
+    """Kernel generators k_j of a submodule of Q[x, y]^rank, and image
+    generators x^a k_j, y^b k_j and multiples of the k_j, which span a
+    finite colength submodule; some draws drop one generator (the quotient
+    may become infinite) or add a random element (usually outside)."""
+    rank = draw(st.sampled_from([1, 2]))
+    polys = _polynomials(XY, 2, 2)
+    kernel = [FreeModuleElement(tuple(draw(polys) for _ in range(rank)))
+              for _ in range(draw(st.integers(1, 2)))]
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    image = []
+    for k in kernel:
+        for m in (poly(f"x^{a}"), poly(f"y^{b}"), draw(_polynomials(XY, 1, 2))):
+            image.append(FreeModuleElement(tuple(m * p for p in k.components)))
+    if draw(st.booleans()):
+        del image[draw(st.integers(0, len(image) - 1))]
+    if draw(st.booleans()):
+        image.append(FreeModuleElement(tuple(draw(polys) for _ in range(rank))))
+    return kernel, image
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ContainmentError, InfiniteQuotientError) as exc:
+        return type(exc)
+
+
+class TestAgainstPresentationRoute:
+    """subquotient_dimension counts leading terms of two Groebner bases; the
+    presentation route builds the quotient from syzygies, coordinates and a
+    third basis. Both give the same dimension or the same error."""
+
+    @given(_subquotient_case(), st.sampled_from([DEGREVLEX, LEX]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_dimension_or_error(self, case, order):
+        kernel, image = case
+        assert (_outcome(subquotient_dimension, kernel, image, order)
+                == _outcome(_presentation_route, kernel, image, order))
+
+
 class TestWorkCounts:
     """_reduce calls made by fixed inputs: one per S-pair reduced, per element
     interreduced and per membership test. They do not depend on the machine,
@@ -442,3 +508,23 @@ class TestWorkCounts:
         reduce_calls.clear()
         syzygy_basis([FreeModuleElement(d.column(j)) for j in range(d.cols)])
         assert len(reduce_calls) == 135
+
+    def test_rank_four_koszul_homology(self, reduce_calls):
+        # two augmented Buchberger runs and one containment check per image
+        # basis element; the syzygy-plus-presentation route made 679 calls
+        left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        c = hom_complex(left, right)
+        reduce_calls.clear()
+        assert homology_dimensions(c) == (4, 4)
+        assert len(reduce_calls) == 338
+
+    def test_runaway_coefficients_stop_at_the_budget(self, reduce_calls):
+        # without the budget this lex syzygy run's pseudo-division scales pass
+        # 80,000 bits and it does not finish in minutes
+        gens = [poly(p, XYZ) for p in ("3*x^2*y^2*z - 3*x^2*z + x*z^2",
+                                       "-2*x^2*y^2 - 2*z^2 + 2*x",
+                                       "-x*y*z^2 - 2*x^2 - 2*y")]
+        with pytest.raises(BudgetError, match="MAX_COEFFICIENT_BITS"):
+            syzygy_basis(gens, LEX)
+        assert len(reduce_calls) == 88

@@ -6,7 +6,9 @@ import pytest
 
 import mfres.mf
 from mfres import (
+    ContainmentError,
     FactorizationError,
+    InfiniteQuotientError,
     InternalCheckError,
     MatrixFactorization,
     Polynomial,
@@ -16,6 +18,7 @@ from mfres import (
     hom_complex,
     homology_dimensions,
     shift,
+    TwoPeriodicComplex,
     tor_lengths,
     validate_mf,
 )
@@ -92,6 +95,25 @@ class TestHomComplex:
         swapped = make_mf("y^3 + x^3", [["y + x"]], [["y^2 - y*x + x^2"]])
         assert (homology_dimensions(hom_complex(original, original)) ==
                 homology_dimensions(hom_complex(swapped, swapped)))
+
+
+class TestHomologyChecks:
+    """homology_dimensions on complexes built by hand, not by hom_complex."""
+
+    def test_composite_not_zero_is_a_containment_error(self):
+        # multiplication by x is injective, so im(y) is outside ker(x) = 0
+        c = TwoPeriodicComplex(1, 1, matrix([["x"]]), matrix([["y"]]))
+        with pytest.raises(ContainmentError):
+            homology_dimensions(c)
+
+    def test_rank_zero_complex_has_no_homology(self):
+        empty = PolyMatrix(0, 0, ())
+        assert homology_dimensions(TwoPeriodicComplex(0, 0, empty, empty)) == (0, 0)
+
+    def test_zero_differentials_are_infinite(self):
+        c = TwoPeriodicComplex(1, 1, matrix([["0"]]), matrix([["0"]]))
+        with pytest.raises(InfiniteQuotientError):
+            homology_dimensions(c)
 
 
 def _random_matrix(rng, ring, rows, cols):

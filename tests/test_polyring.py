@@ -84,6 +84,22 @@ class TestParserBudgets:
             poly("(x + y + 1)^300")
         assert info.value.offset == 12
 
+    def test_powers_are_budgeted_over_the_whole_text(self, monkeypatch):
+        # each (x + y + 1)^20 may have 231 terms; the ninth takes the text
+        # past 2,000, so it is refused before it is expanded
+        expanded = []
+        original = Polynomial.__pow__
+
+        def counting(self, n):
+            expanded.append(n)
+            return original(self, n)
+        monkeypatch.setattr(Polynomial, "__pow__", counting)
+        text = " + ".join(["(x + y + 1)^20"] * 10)
+        with pytest.raises(BudgetError, match="2079 with the powers before it") as info:
+            poly(text)
+        assert len(expanded) == 8
+        assert info.value.offset == 8 * len("(x + y + 1)^20 + ") + len("(x + y + 1)^")
+
     @pytest.mark.parametrize("text", ["x^1001", "x^3 + y^2 + x^400000000*y^3"])
     def test_exponent_cap(self, text, no_powers):
         with pytest.raises(BudgetError, match="MAX_EXPONENT"):
