@@ -12,6 +12,11 @@ weight_filtration builds it by the closed formula
 
 with ker N^t = 0 for t <= 0, and then re-verifies both axioms on the result;
 a failure there is a bug, not bad input, and raises InternalCheckError.
+Only the terms that can add something are formed: j starts at max(0, -l),
+where ker N^(l+j+1) first becomes nonzero, and stops below e, where im N^j
+becomes zero; the first j with l + j + 1 >= e contributes all of im N^j,
+which holds every later term, so the sum stops there too. The j = 0 term is
+ker N^(l+1) itself. Each piece is one span of the rows of its terms.
 
 The axioms can also be checked on a hand built candidate filtration through
 verify_weight_axioms, which reports the two halves separately: shift_ok for
@@ -23,7 +28,8 @@ Gr_(m-l-2)) back to honest vectors, one representative per class.
 
 The powers N^0, ..., N^e are computed once, when a NilpotentOperator is
 built (which is also its nilpotency check), and every function here reads
-them from NilpotentOperator.powers.
+them from NilpotentOperator.powers. An operator on a space of dimension above
+MAX_OPERATOR_DIMENSION is refused with BudgetError before any product is made.
 """
 
 from __future__ import annotations
@@ -31,8 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalCheckError, MfresError
+from .errors import BudgetError, InternalCheckError, MfresError
 from . import ratmat
+
+# largest operator accepted; the cost of a filtration grows about as the
+# fourth power of the dimension
+MAX_OPERATOR_DIMENSION = 32
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,9 @@ class NilpotentOperator:
             raise MfresError("operator needs a space of positive dimension")
         if any(len(row) != n for row in self.matrix):
             raise MfresError("operator matrix must be square")
+        if n > MAX_OPERATOR_DIMENSION:
+            raise BudgetError(f"operator of dimension {n} exceeds "
+                              f"MAX_OPERATOR_DIMENSION = {MAX_OPERATOR_DIMENSION}")
         zero = ratmat.zero_matrix(n)
         powers = [ratmat.identity(n)]
         while powers[-1] != zero:
@@ -97,18 +110,21 @@ def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
     n = op.dimension
     m = op.center
     e = op.nilpotency_index
-    # ker N^t and im N^t for t = 0..e: ker N^0 = 0, ker N^e = Q^n, im N^e = 0
-    kernels = [ratmat.kernel_of(power, n) for power in op.powers]
-    images = [ratmat.image_of(power) for power in op.powers]
+    # ker N^t for 0 < t < e and im N^t for t < e; ker N^0 = 0, ker N^e = Q^n,
+    # im N^0 = Q^n and im N^e = 0 are never intersected
+    kernels = [()] + [ratmat.kernel_of(power, n) for power in op.powers[1:e]]
+    images = [ratmat.image_of(power) for power in op.powers[:e]]
 
     pieces = []
     for l in range(-e, e + 1):
-        total: ratmat.Subspace = ()
-        for j in range(e + 1):
-            kernel = kernels[min(max(l + j + 1, 0), e)]
-            term = ratmat.subspace_intersect(kernel, images[j], n)
-            total = ratmat.subspace_sum(total, term, n)
-        pieces.append(total)
+        rows: list[ratmat.Vector] = []
+        for j in range(max(0, -l), e):
+            t = l + j + 1
+            if t >= e:
+                rows += images[j]
+                break
+            rows += kernels[t] if j == 0 else ratmat.subspace_intersect(kernels[t], images[j], n)
+        pieces.append(ratmat.span(rows, n))
 
     wf = WeightFiltration(operator=op, lowest=m - e, highest=m + e,
                           pieces=tuple(pieces))

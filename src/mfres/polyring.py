@@ -11,8 +11,8 @@ The module also provides the text grammar (rational literals, variables,
 + - * ^, parentheses, no implicit multiplication), derivatives, Jacobian
 generators, and exact determinants of polynomial matrices (Hessians,
 adjugates). The parser checks fixed budgets on literals, exponents and the
-powers in one text before it builds anything large, and raises BudgetError
-past them.
+powers and products in one text before it builds anything large, and raises
+BudgetError past them.
 
 PolyMatrix products run on Python ints: each factor is scaled once by the
 lcm of its denominators, entries accumulate as int coefficients, and each
@@ -282,8 +282,8 @@ _OPS = set("+-*^()/")
 
 # Budgets on polynomial text, each checked before anything large is built:
 # the digits of an integer literal, an exponent, and the number of terms the
-# powers of polynomials with several terms in one text can have, summed over
-# the text (see _power_terms).
+# powers and products of polynomials with several terms in one text can have,
+# summed over the text (see _power_terms and _product_terms).
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2000
@@ -295,6 +295,13 @@ def _power_terms(p: Polynomial, n: int) -> int:
     most n * deg p, whichever is fewer."""
     v = len(p.ring)
     return min(comb(n + len(p) - 1, n), comb(n * p.total_degree() + v, v))
+
+
+def _product_terms(p: Polynomial, q: Polynomial) -> int:
+    """Upper bound on the number of terms of p * q: the pairs of terms, and
+    the monomials of degree at most deg p + deg q, whichever is fewer."""
+    v = len(p.ring)
+    return min(len(p) * len(q), comb(p.total_degree() + q.total_degree() + v, v))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -339,7 +346,7 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring)}
-        self.power_terms = 0  # predicted terms of the powers expanded so far
+        self.expanded_terms = 0  # predicted terms of the powers and products so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -351,6 +358,15 @@ class _Parser:
 
     def fail(self, message: str):
         raise PolynomialSyntaxError(message, self.peek()[2])
+
+    def charge(self, what: str, bound: int, offset: int) -> None:
+        """Add the predicted terms of one expansion to the text's total."""
+        self.expanded_terms += bound
+        if self.expanded_terms > MAX_POWER_TERMS:
+            raise BudgetError(
+                f"{what} may have {bound} terms, {self.expanded_terms} with the "
+                f"expansions before it in this text, over MAX_POWER_TERMS = "
+                f"{MAX_POWER_TERMS}", offset)
 
     def integer(self) -> int:
         """Consume a NUM token, counting its digits before int reads them."""
@@ -378,8 +394,12 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            p = p * self.factor()
+            offset = self.advance()[2]
+            q = self.factor()
+            if len(p) > 1 and len(q) > 1:
+                self.charge(f"product of a {len(p)}-term and a {len(q)}-term polynomial",
+                            _product_terms(p, q), offset)
+            p = p * q
         return p
 
     def factor(self) -> Polynomial:
@@ -401,13 +421,8 @@ class _Parser:
             if n > MAX_EXPONENT:
                 raise BudgetError(f"exponent {n} exceeds MAX_EXPONENT = {MAX_EXPONENT}", offset)
             if len(p) > 1:
-                bound = _power_terms(p, n)
-                self.power_terms += bound
-                if self.power_terms > MAX_POWER_TERMS:
-                    raise BudgetError(
-                        f"power {n} of a {len(p)}-term polynomial may have {bound} terms, "
-                        f"{self.power_terms} with the powers before it in this text, over "
-                        f"MAX_POWER_TERMS = {MAX_POWER_TERMS}", offset)
+                self.charge(f"power {n} of a {len(p)}-term polynomial",
+                            _power_terms(p, n), offset)
             p = p ** n
         return p
 

@@ -4,11 +4,23 @@ Matrices are tuples of row tuples of Fractions. Subspaces of Q^d are
 represented canonically as the reduced row echelon form of a spanning set, so
 two subspaces are equal exactly when their representations are equal. No
 floating point anywhere.
+
+Inside, the kernels run on Python ints: _integral scales a matrix by the lcm
+of its denominators, _echelon (under rref and subspace_intersect) eliminates
+by integer cross-multiplication and divides each changed row by its content,
+products accumulate ints and divide once per entry, and reductions modulo a
+subspace carry one common denominator. Fractions appear only at the
+boundary: every entry that comes out is a Fraction (inputs may mix in ints).
+The RREF of a row space is unique and each other result is an exact value,
+so the outputs are the same as those of plain Fraction Gauss-Jordan
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -31,11 +43,27 @@ def identity(d: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
 
 
+def _integral(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The rows times the lcm of all their denominators, as ints, and that lcm."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (a zero row is returned as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    bt = list(zip(*b)) if b else []
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    ia, da = _integral(a)
+    ib, db = _integral(b)
+    den = da * db
+    cols = list(zip(*ib))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in ia)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -50,34 +78,33 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns; zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan: the nonzero rows, each zero at the other rows'
+    pivots and divided by its content, and the pivot columns."""
+    work = [_primitive(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                work[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        if len(pivots) == len(work):
             break
-    out = tuple(tuple(row) for row in work[:r])
+    return work[:len(pivots)], pivots
+
+
+def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns; zero rows dropped."""
+    work, pivots = _echelon(_integral(rows)[0])
+    out = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(work, pivots))
     return out, tuple(pivots)
 
 
@@ -133,18 +160,20 @@ def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
     """Zassenhaus: RREF of [[A A],[B 0]]; rows with zero left half give the meet."""
     if not a or not b:
         return ()
-    block = [tuple(r) + tuple(r) for r in a] + [tuple(r) + zero_vector(dim) for r in b]
-    reduced, _ = rref(block)
-    out = [row[dim:] for row in reduced if all(x == 0 for x in row[:dim])]
-    return span(out, dim)
+    rows = _integral(tuple(a) + tuple(b))[0]
+    block = [r + r for r in rows[:len(a)]] + [r + [0] * dim for r in rows[len(a):]]
+    reduced, pivots = _echelon(block)
+    # the rows with their pivot in the right half come last: already an RREF
+    return tuple(tuple(Fraction(x, row[c]) for x in row[dim:])
+                 for row, c in zip(reduced, pivots) if c >= dim)
 
 
 def contains_vector(s: Subspace, v: Vector) -> bool:
-    return not any(reduce_mod(v, s))
+    return subspace_leq((v,), s)
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    return all(contains_vector(b, v) for v in a)
+    return not any(any(w) for w in _residues(a, b)[0])
 
 
 def kernel_of(matrix: Matrix, dim: int) -> Subspace:
@@ -163,7 +192,10 @@ def map_subspace(matrix: Matrix, s: Subspace) -> Subspace:
     """Image of a subspace under the matrix, inside Q^rows."""
     if not matrix:
         return ()
-    return span([mat_vec(matrix, v) for v in s], len(matrix))
+    # span ignores the scale of each vector, so the integer rows will do
+    rows = _integral(matrix)[0]
+    return span([[sum(map(mul, row, v)) for row in rows] for v in _integral(s)[0]],
+                len(matrix))
 
 
 def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
@@ -171,17 +203,31 @@ def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
     if not matrix:
         return full_space(dim)
     # reduce each column's image modulo target, then kernel of what is left
-    reduced_cols = [reduce_mod(col, target) for col in zip(*matrix)]
+    # (a common denominator does not move the kernel)
+    reduced_cols = _residues(tuple(zip(*matrix)), target)[0]
     return kernel_of(tuple(zip(*reduced_cols)), dim)
 
 
 def reduce_mod(vec: Sequence[Fraction], s: Subspace) -> Vector:
     """Canonical representative of vec modulo the subspace: each RREF row
     clears its pivot, so the result is zero exactly when vec lies in s."""
-    v = tuple(vec)
-    for row in s:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        f = v[pivot]
-        if f != 0:
-            v = tuple(a - f * b for a, b in zip(v, row))
-    return v
+    (out,), den = _residues((vec,), s)
+    return tuple(Fraction(x, den) for x in out)
+
+
+def _residues(vectors: Sequence[Sequence], s: Subspace) -> tuple[list[list[int]], int]:
+    """Integer numerators over one common denominator of reduce_mod of each
+    vector. Every RREF row is zero at the other rows' pivots, so all rows
+    clear their pivots at once: v - sum of v[pivot] * row."""
+    vecs, dv = _integral(vectors)
+    rows, d = _integral(s)
+    leads = [(next(i for i, x in enumerate(row) if x), row) for row in rows]
+    out = []
+    for v in vecs:
+        w = [d * x for x in v]
+        for p, row in leads:
+            f = v[p]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        out.append(w)
+    return out, d * dv

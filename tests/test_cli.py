@@ -213,6 +213,18 @@ class TestWeightFiltration:
         assert env["error"] == {"type": "CorpusError",
                                 "message": f"bad rational {entry!r}"}
 
+    def test_dimension_budget_exits_1(self, capsys, tmp_path):
+        n = 33
+        matrix = tmp_path / "shift.json"
+        matrix.write_text(json.dumps([[int(j == i + 1) for j in range(n)]
+                                      for i in range(n)]))
+        code, env = run_json(capsys, "weight-filtration",
+                             "--matrix", str(matrix), "--center", "0")
+        assert code == 1
+        assert env["error"] == {
+            "type": "BudgetError",
+            "message": "operator of dimension 33 exceeds MAX_OPERATOR_DIMENSION = 32"}
+
     def test_accepts_integer_and_fraction_strings(self, capsys, tmp_path):
         matrix = tmp_path / "n.json"
         matrix.write_text(json.dumps([[0, "-3/4", 0], [0, 0, "+2"], [0, 0, 0]]))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mfres import (
+    BudgetError,
     MfresError,
     NilpotentOperator,
     WeightFiltration,
@@ -13,7 +14,7 @@ from mfres import (
     verify_weight_axioms,
     weight_filtration,
 )
-from mfres import ratmat
+from mfres import hodge, ratmat
 from conftest import (
     intertwiner_basis,
     invert_matrix,
@@ -36,6 +37,19 @@ class TestNilpotentOperator:
     def test_rejects_empty(self):
         with pytest.raises(MfresError):
             NilpotentOperator.from_rows([], center=0)
+
+    def test_dimension_budget(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("a product was made")
+        monkeypatch.setattr(ratmat, "mat_mul", refuse)
+        n = hodge.MAX_OPERATOR_DIMENSION + 1
+        with pytest.raises(BudgetError, match="MAX_OPERATOR_DIMENSION = 32"):
+            NilpotentOperator.from_rows(jordan_matrix((n,)), center=0)
+
+    def test_largest_operator_accepted(self):
+        n = hodge.MAX_OPERATOR_DIMENSION
+        op = NilpotentOperator.from_rows(jordan_matrix((2,) * (n // 2)), center=0)
+        assert op.dimension == n and op.nilpotency_index == 2
 
     def test_nilpotency_index(self):
         assert NilpotentOperator.from_rows(
@@ -194,29 +208,52 @@ class TestNaturality:
 
 
 class TestWorkCounts:
-    """Matrix products made for one operator. The powers of N are computed
-    once, when the operator is built, so the whole pipeline costs e products;
-    the count does not depend on the machine."""
+    """Work done for one operator: matrix products and eliminations. The
+    powers of N are computed once, when the operator is built, so the whole
+    pipeline costs e products; the counts do not depend on the machine."""
 
-    @pytest.mark.parametrize("partition, conjugate", [
-        ((3, 1), False), ((8,), False), ((4, 2, 1, 1), True)])
-    def test_one_product_per_power(self, partition, conjugate, monkeypatch):
+    @staticmethod
+    def _pipeline_calls(partition, conjugate, monkeypatch, names):
+        """Calls of each named ratmat function over build, filtration,
+        verification and every primitive subspace."""
         mat = jordan_matrix(partition)
         if conjugate:
             g = random_invertible(random.Random(23), len(mat))
             mat = ratmat.mat_mul(ratmat.mat_mul(g, mat), invert_matrix(g))
-        products = []
-        original = ratmat.mat_mul
+        calls = dict.fromkeys(names, 0)
 
-        def counting(a, b):
-            products.append(None)
-            return original(a, b)
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
 
-        monkeypatch.setattr(ratmat, "mat_mul", counting)
+        for name in names:
+            monkeypatch.setattr(ratmat, name, counting(name, getattr(ratmat, name)))
         op = NilpotentOperator.from_rows(mat, center=1)
         wf = weight_filtration(op)
         verify_weight_axioms(wf)
         for l in range(0, wf.highest - op.center + 1):
             primitive_subspace(wf, l)
         assert op.nilpotency_index == max(partition)
-        assert len(products) == max(partition)
+        return calls
+
+    @pytest.mark.parametrize("partition, conjugate", [
+        ((3, 1), False), ((8,), False), ((4, 2, 1, 1), True)])
+    def test_one_product_per_power(self, partition, conjugate, monkeypatch):
+        calls = self._pipeline_calls(partition, conjugate, monkeypatch, ["mat_mul"])
+        assert calls["mat_mul"] == max(partition)
+
+    # Only the needed terms of the closed formula are formed, and an
+    # intersection eliminates once, with no span of its result. _echelon
+    # counts every elimination: rref's and the intersections'.
+    @pytest.mark.parametrize("partition, conjugate, rref, intersect, eliminations", [
+        ((3, 1), False, 43, 14, 57),
+        ((8,), False, 117, 74, 191),
+        ((4, 2, 1, 1), True, 59, 22, 81)])
+    def test_eliminations(self, partition, conjugate, rref, intersect, eliminations,
+                          monkeypatch):
+        calls = self._pipeline_calls(partition, conjugate, monkeypatch,
+                                     ["rref", "subspace_intersect", "_echelon"])
+        assert calls == {"rref": rref, "subspace_intersect": intersect,
+                         "_echelon": eliminations}

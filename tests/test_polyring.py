@@ -95,10 +95,32 @@ class TestParserBudgets:
             return original(self, n)
         monkeypatch.setattr(Polynomial, "__pow__", counting)
         text = " + ".join(["(x + y + 1)^20"] * 10)
-        with pytest.raises(BudgetError, match="2079 with the powers before it") as info:
+        with pytest.raises(BudgetError, match="2079 with the expansions before it") as info:
             poly(text)
         assert len(expanded) == 8
         assert info.value.offset == 8 * len("(x + y + 1)^20 + ") + len("(x + y + 1)^")
+
+    @pytest.mark.parametrize("text, offset, largest", [
+        # the 21st factor would take the text to 2,020 predicted terms; the
+        # whole product has 7,381 terms
+        ("*".join(["(x+y+1)"] * 120), 20 * len("(x+y+1)*") - 1, 231),
+        # two powers of 231 terms each, then products predicted at 861 and
+        # 1,891 terms: the second is refused (the whole product has 3,321)
+        ("*".join(["(x+y+1)^20"] * 4), 2 * len("(x+y+1)^20*") - 1, 861)])
+    def test_products_are_budgeted_over_the_whole_text(self, monkeypatch, text,
+                                                       offset, largest):
+        sizes = []
+        original = Polynomial.__mul__
+
+        def recording(self, other):
+            out = original(self, other)
+            sizes.append(len(out))
+            return out
+        monkeypatch.setattr(Polynomial, "__mul__", recording)
+        with pytest.raises(BudgetError, match="MAX_POWER_TERMS") as info:
+            poly(text)
+        assert info.value.offset == offset
+        assert max(sizes) == largest
 
     @pytest.mark.parametrize("text", ["x^1001", "x^3 + y^2 + x^400000000*y^3"])
     def test_exponent_cap(self, text, no_powers):

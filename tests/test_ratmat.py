@@ -45,3 +45,205 @@ class TestMembership:
             assert _in_span(s, tuple(a - b for a, b in zip(v, remainder)))
         assert ratmat.subspace_leq(ratmat.span(vectors, d), s) == all(
             _in_span(s, v) for v in vectors)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against a plain Fraction Gauss-Jordan reference
+
+def _ref_rref(rows):
+    """Textbook Gauss-Jordan on Fractions: scale the pivot row to a leading
+    one, clear the pivot column everywhere else, drop the zero rows."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, len(work)) if work[i][c] != 0]
+        if not found:
+            continue
+        work[r], work[found[0]] = work[found[0]], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                work[i] = [x - work[i][c] * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in work[:len(pivots)]), tuple(pivots)
+
+
+def _ref_nullspace(a, ncols):
+    """One vector per free column: 1 there, minus the column above each pivot."""
+    reduced, pivots = _ref_rref(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(ncols)]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _ref_mat_mul(a, b):
+    inner = len(b)
+    width = len(b[0]) if b else 0
+    return tuple(tuple(sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0))
+                       for j in range(width)) for row in a)
+
+
+def _ref_intersect(a, b, dim):
+    """The meet from the relations c.A + d.B = 0: the vectors c.A, in RREF."""
+    if not a or not b:
+        return ()
+    stacked_t = tuple(zip(*(tuple(a) + tuple(b))))
+    meet = [tuple(sum((c * Fraction(x) for c, x in zip(rel, col)), Fraction(0))
+                  for col in zip(*a))
+            for rel in (r[:len(a)] for r in _ref_nullspace(stacked_t, len(a) + len(b)))]
+    return _ref_rref([v for v in meet if any(v)])[0]
+
+
+def _ref_reduce_mod(v, s):
+    """v minus the element of s that agrees with v at every pivot of s."""
+    out = [Fraction(x) for x in v]
+    for row in s:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        for i, x in enumerate(row):
+            out[i] -= Fraction(v[p]) * x
+    return tuple(out)
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_LARGE = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                   st.integers(1, 10 ** 12))
+_FRACTION = st.one_of(st.just(Fraction(0)), _SMALL, _LARGE)
+
+
+@st.composite
+def _rows(draw, entry, width=None):
+    """0..5 rows of one width (0 included), with zero rows and
+    duplicate rows mixed in."""
+    width = draw(st.integers(0, 4)) if width is None else width
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=5))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * width)
+    return tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def _mixed_entry(draw):
+    """A Fraction, or a plain int standing in for a whole one."""
+    x = draw(_FRACTION)
+    if x.denominator == 1 and draw(st.booleans()):
+        return int(x)
+    return x
+
+
+def _with_ints(draw, rows):
+    """The same matrix with some whole entries as plain ints."""
+    return tuple(tuple(int(x) if x.denominator == 1 and draw(st.booleans()) else x
+                       for x in row) for row in rows)
+
+
+_EXAMPLES = 60
+
+
+class _Kernels:
+    """Each kernel against its reference; ENTRY sets what the inputs hold."""
+
+    ENTRY = _FRACTION
+
+    def test_rref(self):
+        @given(_rows(self.ENTRY))
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(rows):
+            got = ratmat.rref(rows)
+            assert got == _ref_rref(rows)
+            assert _all_fractions(got[0])
+        check()
+
+    def test_nullspace(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            ncols = data.draw(st.integers(0, 4))
+            a = data.draw(_rows(self.ENTRY, width=ncols))
+            got = ratmat.nullspace(a, ncols)
+            want = _ref_nullspace(a, ncols) if a else ratmat.identity(ncols)
+            assert got == want
+            assert _all_fractions(got)
+            if a:
+                assert not any(any(row) for row in _ref_mat_mul(a, tuple(zip(*got))))
+        check()
+
+    def test_mat_mul(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            inner = data.draw(st.integers(0, 4))
+            a = data.draw(_rows(self.ENTRY, width=inner))
+            row = st.tuples(*[self.ENTRY] * data.draw(st.integers(0, 4)))
+            b = tuple(data.draw(st.lists(row, min_size=inner, max_size=inner)))
+            got = ratmat.mat_mul(a, b)
+            assert got == _ref_mat_mul(a, b)
+            assert _all_fractions(got)
+        check()
+
+    def test_map_subspace(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            d = data.draw(st.integers(1, 4))
+            s = ratmat.span(data.draw(_rows(_FRACTION, width=d)), d)
+            matrix = data.draw(_rows(self.ENTRY, width=d))
+            if self.ENTRY is not _FRACTION:
+                s = _with_ints(data.draw, s)
+            got = ratmat.map_subspace(matrix, s)
+            moved = [tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0))
+                           for row in matrix) for v in s]
+            assert got == _ref_rref([v for v in moved if any(v)])[0]
+            assert _all_fractions(got)
+        check()
+
+    def test_subspace_intersect(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            d = data.draw(st.integers(1, 4))
+            a = ratmat.span(data.draw(_rows(_FRACTION, width=d)), d)
+            b = ratmat.span(data.draw(_rows(_FRACTION, width=d)), d)
+            if data.draw(st.booleans()):  # make the meet nonzero more often
+                b = ratmat.span(tuple(b) + a[:1], d)
+            if self.ENTRY is not _FRACTION:
+                a, b = _with_ints(data.draw, a), _with_ints(data.draw, b)
+            got = ratmat.subspace_intersect(a, b, d)
+            assert got == _ref_intersect(a, b, d)
+            assert got == ratmat.span(got, d)  # canonical
+            assert _all_fractions(got)
+        check()
+
+    def test_reduce_mod(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            d = data.draw(st.integers(0, 4))
+            s = ratmat.span(data.draw(_rows(_FRACTION, width=d)), d)
+            v = data.draw(st.tuples(*[self.ENTRY] * d))
+            if self.ENTRY is not _FRACTION:
+                s = _with_ints(data.draw, s)
+            got = ratmat.reduce_mod(v, s)
+            assert got == _ref_reduce_mod(v, s)
+            assert all(type(x) is Fraction for x in got)
+        check()
+
+
+class TestKernelsOnFractions(_Kernels):
+    ENTRY = _FRACTION
+
+
+class TestKernelsWithIntEntries(_Kernels):
+    ENTRY = _mixed_entry()
