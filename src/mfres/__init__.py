@@ -67,6 +67,7 @@ from .mf import (
     dual,
     hom_complex,
     homology_dimensions,
+    periodic_homology,
     shift,
     tor_lengths,
     validate_mf,
@@ -117,7 +118,7 @@ __all__ = [
     "wedge",
     "MatrixFactorization", "ModulePresentation", "TwoPeriodicComplex",
     "cokernel_presentation", "dual", "hom_complex", "homology_dimensions",
-    "shift", "tor_lengths", "validate_mf",
+    "periodic_homology", "shift", "tor_lengths", "validate_mf",
     "GramMatrix", "HrrReport", "MilnorAlgebra", "PsdReport",
     "ResidueFunctional", "chern_milnor_class", "combination_class",
     "combination_pairing", "euler_pairing", "gram_matrix",

@@ -33,6 +33,7 @@ from .forms import chern_character_form, euler_lemma_check
 from .groebner import get_order
 from .hodge import (
     NilpotentOperator,
+    check_operator_dimension,
     graded_dimensions,
     primitive_subspace,
     weight_filtration,
@@ -264,13 +265,11 @@ def _cmd_psd(args, order):
 
 def _cmd_weight(args, order):
     raw = read_json(args.matrix)
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise CorpusError("matrix file must hold a list of rows")
-    rows = []
-    for row in raw:
-        if not isinstance(row, list):
-            raise CorpusError("matrix file must hold a list of rows")
-        rows.append([parse_fraction(v) for v in row])
+    # the budget goes first, so an oversized file has no entry converted
+    check_operator_dimension(max([len(raw)] + [len(row) for row in raw]))
+    rows = [[parse_fraction(v) for v in row] for row in raw]
     op = NilpotentOperator.from_rows(rows, args.center)
     # weight_filtration verifies both axioms, raising InternalCheckError otherwise
     wf = weight_filtration(op)

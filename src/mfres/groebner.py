@@ -45,7 +45,10 @@ construction: a Groebner basis of the augmented module generated by
 Its elements led by a tag lie in the tag block and form a reduced basis of
 the syzygy module; the first-block parts of the others form a reduced basis
 of the span of the g_i; reducing (v, 0) decides membership of v and reads
-off coordinates in terms of the g_i.
+off coordinates in terms of the g_i. Relations n_j added as untagged rows
+(n_j, 0) turn the first into the preimage {c : sum c_i g_i in span n_j},
+the kernel of the map the g_i induce into Q^r / span n_j, and the second
+into the span of the g_i and n_j.
 
 Dimensions of subquotients are counts of leading terms. For submodules
 I inside K and one term order, K and I have echelon bases over Q indexed by
@@ -464,11 +467,16 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
 # syzygies, membership, coordinates
 
 class _AugmentedBasis:
-    """Groebner data for (g_i, e_i) with original components dominating tags;
-    `kernel` (tags shifted to components 0..k-1) and `image` are the reduced
-    bases of the syzygy module and of the span of the g_i read off it."""
+    """Groebner data for the rows (g_i, e_i) and (n_j, 0), original components
+    dominating tags. The relations n_j carry no tag. By elimination the
+    elements led by a tag form the reduced basis of the preimage
+    {c : sum c_i g_i in span n_j}, stored as `kernel` with tags shifted to
+    components 0..k-1: the syzygy module when there are no relations. The
+    first-block parts of the others form `image`, the reduced basis of the
+    span of the g_i and n_j."""
 
-    def __init__(self, gens: list[FreeModuleElement], order: MonomialOrder):
+    def __init__(self, gens: list[FreeModuleElement], order: MonomialOrder,
+                 relations: Sequence[FreeModuleElement] = ()):
         if not gens:
             raise ValueError("need at least one generator")
         self.rank = gens[0].rank
@@ -476,7 +484,7 @@ class _AugmentedBasis:
         self.count = len(gens)
         self.order = order
         zero_exps = tuple(0 for _ in self.ring)
-        aug: list[Vec] = []
+        aug: list[Vec] = [element_to_vec(n) for n in relations]
         for i, g in enumerate(gens):
             vec = element_to_vec(g)
             vec[(self.rank + i, zero_exps)] = Fraction(1)

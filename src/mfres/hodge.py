@@ -29,7 +29,9 @@ Gr_(m-l-2)) back to honest vectors, one representative per class.
 The powers N^0, ..., N^e are computed once, when a NilpotentOperator is
 built (which is also its nilpotency check), and every function here reads
 them from NilpotentOperator.powers. An operator on a space of dimension above
-MAX_OPERATOR_DIMENSION is refused with BudgetError before any product is made.
+MAX_OPERATOR_DIMENSION is refused with BudgetError before any product is made,
+by check_operator_dimension, which a reader of matrix files can call before
+it converts any entry.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ from . import ratmat
 # largest operator accepted; the cost of a filtration grows about as the
 # fourth power of the dimension
 MAX_OPERATOR_DIMENSION = 32
+
+
+def check_operator_dimension(n: int) -> None:
+    """BudgetError when an operator of dimension n is over the budget."""
+    if n > MAX_OPERATOR_DIMENSION:
+        raise BudgetError(f"operator of dimension {n} exceeds "
+                          f"MAX_OPERATOR_DIMENSION = {MAX_OPERATOR_DIMENSION}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +68,7 @@ class NilpotentOperator:
             raise MfresError("operator needs a space of positive dimension")
         if any(len(row) != n for row in self.matrix):
             raise MfresError("operator matrix must be square")
-        if n > MAX_OPERATOR_DIMENSION:
-            raise BudgetError(f"operator of dimension {n} exceeds "
-                              f"MAX_OPERATOR_DIMENSION = {MAX_OPERATOR_DIMENSION}")
+        check_operator_dimension(n)
         zero = ratmat.zero_matrix(n)
         powers = [ratmat.identity(n)]
         while powers[-1] != zero:

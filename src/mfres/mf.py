@@ -14,10 +14,15 @@ mixed terms in odd degree, with differential d(alpha) = d' alpha - (-1)^|alpha|
 alpha d. Flattening matrix entries row major, vec(M X N) = (M (x) N^T) vec(X),
 turns both differentials into 2 x 2 block matrices of Kronecker products of
 A, B, A', B' with identities (see hom_complex), placed entry by entry from the
-nonzero entries only. Homology dimensions are counts of leading terms: one
-Groebner basis per differential holds both its kernel and its image. Stable
-Ext and Tor are read off the periodic windows; both are honest Q dimensions,
-never mod p shortcuts.
+nonzero entries only.
+
+One routine, periodic_homology, gives the homology of every two periodic
+complex here: the Hom complex, and the periodic resolution over
+R = Q[x]/(f) (Eisenbud 1980) tensored with a module N (Tor) or mapped into
+it (Ext). Homology dimensions are counts of leading terms: one Groebner
+basis per differential holds both its kernel and its image, and the
+relations of N ride along in the same basis. The results are honest Q
+dimensions, never mod p shortcuts.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .groebner import (
     MonomialOrder,
     _AugmentedBasis,
     _leading_gap,
-    subquotient_dimension,
-    syzygy_basis,
 )
 from .polyring import Polynomial, PolyMatrix, to_string
 
@@ -204,29 +207,8 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
     return complex_
 
 
-def homology_dimensions(c: TwoPeriodicComplex,
-                        order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
-    """Exact Q dimensions (h_even, h_odd) of the complex homology.
-
-    One tag-augmented Groebner basis per differential holds reduced bases
-    of both its kernel and its image, and each homology dimension is the
-    count of leading terms of a kernel outside the other image, after an
-    exact check that the image lies in the kernel.
-    """
-    def kernel_and_image(m: PolyMatrix):
-        # only these two outlive the run, so one augmented basis is alive at a time
-        if not m.cols:
-            return [], []
-        aug = _AugmentedBasis([FreeModuleElement(m.column(j)) for j in range(m.cols)], order)
-        return aug.kernel, aug.image
-
-    ker_eo, im_eo = kernel_and_image(c.d_even_to_odd)
-    ker_oe, im_oe = kernel_and_image(c.d_odd_to_even)
-    return (_leading_gap(ker_eo, im_oe, order), _leading_gap(ker_oe, im_eo, order))
-
-
 # ---------------------------------------------------------------------------
-# Tor along the two periodic resolution
+# homology of two periodic complexes: Hom, and Tor and Ext against a module
 
 def _tensor_map(m: PolyMatrix, s: int) -> PolyMatrix:
     """Kronecker product m (x) identity_s acting on blocks of size s."""
@@ -241,53 +223,53 @@ def _module_relation_vectors(n_module: ModulePresentation,
     """Relations of N^blocks over Q: each relation of N placed in each block,
     plus f times every coordinate when N is an R module."""
     s = n_module.ambient_rank
-    rels: list[FreeModuleElement] = []
-    base: list[FreeModuleElement] = list(n_module.relations)
+    base = [rel.components for rel in n_module.relations]
     if n_module.over == "R":
-        f = n_module.potential
-        ring = f.ring
-        for c in range(s):
-            comps = tuple(f if i == c else Polynomial.zero(ring) for i in range(s))
-            base.append(FreeModuleElement(comps))
+        f_s = PolyMatrix.scalar(n_module.potential, s)
+        base += [f_s.row(i) for i in range(s)]
     if not base:
         return []
-    ring = base[0].ring
-    zero = Polynomial.zero(ring)
-    for b in range(blocks):
-        for rel in base:
-            comps = [zero] * (blocks * s)
-            for i, p in enumerate(rel.components):
-                comps[b * s + i] = p
-            rels.append(FreeModuleElement(tuple(comps)))
-    return rels
+    pad = (Polynomial.zero(base[0][0].ring),) * s
+    return [FreeModuleElement(pad * b + comps + pad * (blocks - 1 - b))
+            for b in range(blocks) for comps in base]
 
 
-def _periodic_homology(out_map: PolyMatrix, in_map: PolyMatrix,
-                       n_module: ModulePresentation,
-                       order: MonomialOrder) -> int:
-    """dim ker(out_map (x) N) / im(in_map (x) N) at a term (Q^blocks) (x) N."""
-    s = n_module.ambient_rank
-    blocks = out_map.cols
-    if in_map.rows != blocks:
-        raise ValueError("maps do not share the middle term")
-    rels = _module_relation_vectors(n_module, blocks)
-    big_out = _tensor_map(out_map, s)
-    out_cols = [FreeModuleElement(big_out.column(j)) for j in range(big_out.cols)]
-    # kernel of the induced map on N^blocks: preimage of the relation span,
-    # read off as syzygies of [columns | relations] projected to the columns
-    kernel = syzygy_basis(out_cols + rels, order)
-    dim = blocks * s
-    kernel_proj = []
-    for syz in kernel:
-        el = FreeModuleElement(syz.components[:dim])
-        if not el.is_zero():
-            kernel_proj.append(el)
-    big_in = _tensor_map(in_map, s)
-    image = [FreeModuleElement(big_in.column(j)) for j in range(big_in.cols)]
-    image.extend(rels)
-    if not kernel_proj:
-        return 0
-    return subquotient_dimension(kernel_proj, image, order)
+def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
+                      module: ModulePresentation | None = None,
+                      order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
+    """Exact Q dimensions (ker d_eo / im d_oe, ker d_oe / im d_eo) of a two
+    periodic complex, or of the complex tensored with a module N.
+
+    One tag-augmented Groebner basis per differential holds reduced bases of
+    both its kernel and its image, and each dimension is the count of
+    leading terms of a kernel outside the other image, after an exact check
+    that the image lies in the kernel. With N = Q[x]^s / span n_j, a map m
+    acts as m (x) I_s, and the relations of N in each of its m.rows target
+    blocks go in as untagged rows: the kernel becomes the preimage of the
+    relations, which holds those over the source, and the image takes in
+    the relations over the target.
+    """
+    def kernel_and_image(m: PolyMatrix):
+        # only these two outlive the run, so one augmented basis is alive at a time
+        relations = ()
+        if module is not None:
+            relations = _module_relation_vectors(module, m.rows)
+            m = _tensor_map(m, module.ambient_rank)
+        if not m.cols:
+            return [], []
+        aug = _AugmentedBasis([FreeModuleElement(m.column(j)) for j in range(m.cols)],
+                              order, relations)
+        return aug.kernel, aug.image
+
+    ker_eo, im_eo = kernel_and_image(d_eo)
+    ker_oe, im_oe = kernel_and_image(d_oe)
+    return (_leading_gap(ker_eo, im_oe, order), _leading_gap(ker_oe, im_eo, order))
+
+
+def homology_dimensions(c: TwoPeriodicComplex,
+                        order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
+    """Exact Q dimensions (h_even, h_odd) of the complex homology."""
+    return periodic_homology(c.d_even_to_odd, c.d_odd_to_even, order=order)
 
 
 def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
@@ -296,7 +278,8 @@ def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
 
     The free resolution of coker(A) over R is the two periodic complex with
     odd differentials A and even differentials B, so the stable window is
-    (ker B (x) N / im A (x) N, ker A (x) N / im B (x) N). Structural two
+    (ker B (x) N / im A (x) N, ker A (x) N / im B (x) N): the two gaps of
+    periodic_homology(B, A, N), two Buchberger runs in all. Structural two
     periodicity makes the next window literally the same matrices.
     """
     validate_mf(mf)
@@ -304,6 +287,4 @@ def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
         raise ValueError("Tor is taken over R; presentation must be over R")
     if n_module.potential != mf.potential:
         raise ValueError("factorization and module have different potentials")
-    t_even = _periodic_homology(mf.B, mf.A, n_module, order)
-    t_odd = _periodic_homology(mf.A, mf.B, n_module, order)
-    return (t_even, t_odd)
+    return periodic_homology(mf.B, mf.A, n_module, order)

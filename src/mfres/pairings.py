@@ -26,12 +26,16 @@ Index identity. For n odd,
 with ch the trace form from the forms module. hrr_check reports both sides
 exactly.
 
-Theta. hochster_theta(M, N) is the difference of stable even and odd Tor
-lengths along the two periodic resolution; herbrand_difference is the Ext
-counterpart (even minus odd), the same number the Euler pairing computes on
-cokernels. Gram matrices of either pairing over a list of inputs are
-assembled entry by entry and certified positive semidefinite, when they are,
-by an exact fraction free LDL^T with largest diagonal pivoting.
+Theta and Ext. hochster_theta(M, N) is the difference of stable even and
+odd Tor lengths along the two periodic resolution over R = Q[x]/(f) (a
+factorization's own, or one found by syzygy steps). herbrand_difference is
+the Ext counterpart, stable Ext^even - Ext^odd of coker(A) against coker(A')
+over R: the Euler pairing's number by a second route, which reads the
+homology of the resolution mapped into coker(A') and never builds the Hom
+complex. Both take their homology from mf.periodic_homology. Gram matrices
+of either pairing over a list of inputs are assembled entry by entry and
+certified positive semidefinite, when they are, by an exact fraction free
+LDL^T with largest diagonal pivoting.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import (
+    FactorizationError,
     InternalCheckError,
     MfresError,
     NormalizationError,
@@ -55,21 +60,22 @@ from .groebner import (
     FreeModuleElement,
     GroebnerBasis,
     MonomialOrder,
+    _AugmentedBasis,
     express_in_terms,
     groebner_basis,
     normal_form,
     origin_support_check,
     quotient_dimension,
-    syzygy_basis,
 )
 from .mf import (
     MatrixFactorization,
     ModulePresentation,
-    _periodic_homology,
     cokernel_presentation,
     hom_complex,
     homology_dimensions,
+    periodic_homology,
     tor_lengths,
+    validate_mf,
 )
 from .polyring import (
     Polynomial,
@@ -215,9 +221,20 @@ def euler_pairing(x: MatrixFactorization, y: MatrixFactorization,
 
 def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization,
                         order: MonomialOrder = DEGREVLEX) -> int:
-    """dim Ext^even - dim Ext^odd of the stable Ext pair, read off the same
-    Hom complex homology the Euler pairing uses."""
-    return euler_pairing(x, y, order)
+    """dim Ext^even - dim Ext^odd of the stable Ext pair of coker(A) against
+    coker(A') over R, a second route to chi(x, y) that builds no Hom complex.
+
+    Hom over R from the periodic resolution (A, B) of coker(A) into
+    N = coker(A') is the two periodic complex N^r --A^T--> N^r --B^T--> N^r,
+    so the pair is the homology of (A^T, B^T) with N.
+    """
+    validate_mf(x)
+    validate_mf(y)
+    if x.potential != y.potential:
+        raise FactorizationError("factorizations have different potentials")
+    e_even, e_odd = periodic_homology(x.A.transpose(), x.B.transpose(),
+                                      cokernel_presentation(y), order)
+    return e_even - e_odd
 
 
 def chern_milnor_class(mf: MatrixFactorization,
@@ -268,26 +285,19 @@ def _as_presentation(item: PairingInput) -> ModulePresentation:
     return item
 
 
-def _syzygy_step(cols: list, ambient: int, f: Polynomial,
-                 order: MonomialOrder) -> list:
-    """Canonical generators of the syzygy module over R of the given columns."""
-    ring = f.ring
-    zero = Polynomial.zero(ring)
-    frels = []
-    for i in range(ambient):
-        comps = tuple(f if j == i else zero for j in range(ambient))
-        frels.append(FreeModuleElement(comps))
-    syz = syzygy_basis(list(cols) + frels, order)
-    k = len(cols)
-    projected = []
-    for s in syz:
-        head = FreeModuleElement(s.components[:k]) if k else None
-        if head is not None and not head.is_zero():
-            projected.append(head)
-    if not projected:
-        return []
-    gb = groebner_basis(projected, order)
-    return list(gb.generators)
+def _columns(cols: Sequence[FreeModuleElement], rows: int) -> PolyMatrix:
+    """The matrix with the given columns in Q[x]^rows."""
+    return PolyMatrix(rows, len(cols), tuple(c.components[i] for i in range(rows) for c in cols))
+
+
+def _syzygy_step(d: PolyMatrix, f: Polynomial, order: MonomialOrder) -> PolyMatrix:
+    """The next map of the resolution over R: its columns are the canonical
+    generators of the syzygies over R of the columns of d, the preimage of
+    f Q[x]^rows in Q[x]^cols."""
+    f_rows = PolyMatrix.scalar(f, d.rows)
+    syz = _AugmentedBasis([FreeModuleElement(d.column(j)) for j in range(d.cols)], order,
+                          [FreeModuleElement(f_rows.column(i)) for i in range(d.rows)]).syzygies()
+    return _columns(syz, d.cols)
 
 
 def hochster_theta(m: PairingInput, n_module: ModulePresentation,
@@ -296,8 +306,10 @@ def hochster_theta(m: PairingInput, n_module: ModulePresentation,
 
     A factorization input uses its own two periodic resolution directly. A raw
     presentation is resolved over R by canonical syzygy steps until two maps
-    two steps apart coincide literally; the window then read off is stable,
-    and the parity of the position decides which length is the even one.
+    two steps apart coincide literally, d_p = d_(p+2); the homology of the
+    periodic complex (d_p, d_(p+1)) tensored with N is then the stable pair
+    (Tor_p, Tor_(p+1)), and the parity of p decides which length is the even
+    one.
     """
     if n_module.over != "R":
         raise ValueError("theta needs the right input as an R presentation")
@@ -311,39 +323,19 @@ def hochster_theta(m: PairingInput, n_module: ModulePresentation,
     if f != n_module.potential:
         raise MfresError("presentations have different potentials")
 
-    ambients = [m.ambient_rank]
-    maps: list[list] = [list(m.relations)]  # maps[p-1] = d_p columns
-    period_start = None
-    for step in range(2, _RESOLUTION_CAP + 1):
-        prev_cols = maps[-1]
-        if not prev_cols:
+    maps = [_columns(m.relations, m.ambient_rank)]  # maps[p-1] = d_p
+    for _ in range(2, _RESOLUTION_CAP + 1):
+        if not maps[-1].cols:
             return 0  # resolution terminated; stable Tor vanishes
-        ambient_next = len(prev_cols)
-        cols = _syzygy_step(prev_cols, ambients[-1], f, order)
-        maps.append(cols)
-        ambients.append(ambient_next)
-        if len(maps) >= 3 and maps[-1] == maps[-3] and ambients[-1] == ambients[-3]:
-            period_start = len(maps) - 2  # 1-indexed position of d_{m-2}
+        maps.append(_syzygy_step(maps[-1], f, order))
+        if len(maps) >= 3 and maps[-1] == maps[-3]:
             break
-    if period_start is None:
+    else:
         raise MfresError("resolution did not become two periodic within the step cap; "
                          "pass a matrix factorization instead")
-
-    def to_matrix(cols: list, ambient: int) -> PolyMatrix:
-        entries = []
-        for i in range(ambient):
-            for c in cols:
-                entries.append(c.components[i])
-        return PolyMatrix(ambient, len(cols), tuple(entries))
-
-    lengths = {}
-    for pos in (period_start, period_start + 1):
-        out_cols, out_amb = maps[pos - 1], ambients[pos - 1]
-        in_cols, in_amb = maps[pos], ambients[pos]
-        out_map = to_matrix(out_cols, out_amb)
-        in_map = to_matrix(in_cols, in_amb)
-        lengths[pos % 2] = _periodic_homology(out_map, in_map, n_module, order)
-    return lengths[0] - lengths[1]
+    p = len(maps) - 2
+    tor_p, tor_next = periodic_homology(maps[p - 1], maps[p], n_module, order)
+    return tor_p - tor_next if p % 2 == 0 else tor_next - tor_p
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,19 @@ class TestEnvelopes:
         assert code == 0
         assert env["results"]["theta"] == 1
 
+    @pytest.mark.parametrize("right, value", [("C1", 2), ("C1s", -2)])
+    def test_herbrand_pinned_and_equal_to_euler(self, capsys, right, value):
+        argv = (str(CORPUS / "cubic.json"), "--left", "C1", "--right", right)
+        code, out = run_cli(capsys, "herbrand", *argv)
+        assert code == 0
+        assert out == json.dumps(
+            {"command": "herbrand", "status": "ok",
+             "results": {"left": "C1", "right": right, "h": value}}, indent=2) + "\n"
+        code, out = run_cli(capsys, "--format", "text", "herbrand", *argv)
+        assert (code, out) == (0, f"left: C1\nright: {right}\nh: {value}\n")
+        code, env = run_json(capsys, "euler", *argv)
+        assert (code, env["results"]["chi"]) == (0, value)
+
     def test_residue_fraction_is_a_string(self, capsys):
         code, env = run_json(capsys, "residue", str(CORPUS / "cubic.json"),
                              "--left", "C1", "--right", "C1")
@@ -224,6 +237,28 @@ class TestWeightFiltration:
         assert env["error"] == {
             "type": "BudgetError",
             "message": "operator of dimension 33 exceeds MAX_OPERATOR_DIMENSION = 32"}
+
+    @pytest.mark.parametrize("rows", [[[0] * 33] * 33, [[0, 1], [0] * 33]],
+                             ids=["33_rows", "row_of_33"])
+    def test_dimension_budget_comes_before_any_entry(self, capsys, tmp_path,
+                                                    monkeypatch, rows):
+        import mfres.cli
+        calls = []
+        original = mfres.cli.parse_fraction
+
+        def counting(text):
+            calls.append(None)
+            return original(text)
+        monkeypatch.setattr(mfres.cli, "parse_fraction", counting)
+        matrix = tmp_path / "big.json"
+        matrix.write_text(json.dumps(rows))
+        code, env = run_json(capsys, "weight-filtration",
+                             "--matrix", str(matrix), "--center", "0")
+        assert code == 1
+        assert env["error"] == {
+            "type": "BudgetError",
+            "message": "operator of dimension 33 exceeds MAX_OPERATOR_DIMENSION = 32"}
+        assert len(calls) == 0
 
     def test_accepts_integer_and_fraction_strings(self, capsys, tmp_path):
         matrix = tmp_path / "n.json"

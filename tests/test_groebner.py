@@ -19,6 +19,7 @@ from mfres import (
     express_in_terms,
     get_order,
     groebner_basis,
+    hochster_theta,
     hom_complex,
     homology_dimensions,
     jacobian_generators,
@@ -28,8 +29,9 @@ from mfres import (
     subquotient_dimension,
     syzygy_basis,
     to_string,
+    tor_lengths,
 )
-from conftest import XY, XYZ, koszul_rank4, poly
+from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, poly
 
 
 class TestGroebnerBasis:
@@ -482,8 +484,9 @@ class TestAgainstPresentationRoute:
 
 class TestWorkCounts:
     """_reduce calls made by fixed inputs: one per S-pair reduced, per element
-    interreduced and per membership test. They do not depend on the machine,
-    so they pin the work the pair criteria save."""
+    interreduced and per membership test; and _buchberger runs. They do not
+    depend on the machine, so they pin the work the pair criteria and the
+    shared kernel-and-image route save."""
 
     @pytest.fixture
     def reduce_calls(self, monkeypatch):
@@ -518,6 +521,32 @@ class TestWorkCounts:
         reduce_calls.clear()
         assert homology_dimensions(c) == (4, 4)
         assert len(reduce_calls) == 338
+
+    @pytest.fixture
+    def buchberger_runs(self, monkeypatch):
+        runs = []
+        original = mfres.groebner._buchberger
+
+        def counting(*args):
+            runs.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(mfres.groebner, "_buchberger", counting)
+        return runs
+
+    def test_tor_is_one_run_per_differential(self, buchberger_runs):
+        # the syzygy, kernel and image route took three runs per differential
+        c1 = make_mf("x^3 + y^3", [["x + y"]], [["x^2 - x*y + y^2"]])
+        m1 = make_module("x^3 + y^3", [["x + y"]])
+        assert tor_lengths(c1, m1) == (0, 2)
+        assert len(buchberger_runs) == 2
+
+    def test_theta_of_a_raw_presentation(self, buchberger_runs):
+        # two resolution steps of one run each, then one window of two runs;
+        # the old route took two runs per step and six for the window
+        m1 = make_module("x^3 + y^3", [["x + y"]])
+        assert hochster_theta(m1, m1) == -2
+        assert len(buchberger_runs) == 4
 
     def test_runaway_coefficients_stop_at_the_budget(self, reduce_calls):
         # without the budget this lex syzygy run's pseudo-division scales pass
