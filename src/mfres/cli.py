@@ -38,10 +38,11 @@ from .hodge import (
     primitive_subspace,
     weight_filtration,
 )
-from .mf import MatrixFactorization, cokernel_presentation, tor_lengths
+from .mf import tor_lengths
 from .pairings import (
     PAIRINGS,
     GramMatrix,
+    _as_presentation,
     chern_milnor_class,
     euler_pairing,
     gram_matrix,
@@ -128,12 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # command bodies; each returns (results dict, exit code)
 
-def _presentation_of(item):
-    if isinstance(item, MatrixFactorization):
-        return cokernel_presentation(item)
-    return item
-
-
 def _cmd_validate(args, order):
     cf = load_corpus(args.corpus)
     return {
@@ -189,7 +184,7 @@ def _cmd_euler(args, order):
 def _cmd_theta(args, order):
     cf = load_corpus(args.corpus)
     left = cf.item(args.left)
-    right = _presentation_of(cf.item(args.right))
+    right = _as_presentation(cf.item(args.right))
     return {"left": args.left, "right": args.right,
             "theta": hochster_theta(left, right, order)}, 0
 
@@ -290,10 +285,20 @@ def _cmd_weight(args, order):
     }, 0
 
 
+def _lemma_holds(item, j) -> bool:
+    """euler_lemma_check, with a j it cannot take as a CorpusError."""
+    if type(j) is not int:
+        raise CorpusError(f"lemma needs an integer j, found {j!r}")
+    try:
+        return euler_lemma_check(item, j)
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from exc
+
+
 def _cmd_lemma(args, order):
     cf = load_corpus(args.corpus)
     item = cf.factorization(args.item)
-    holds = euler_lemma_check(item, args.j)
+    holds = _lemma_holds(item, args.j)
     return {"item": item.label, "j": args.j, "holds": holds}, 0
 
 
@@ -305,6 +310,17 @@ def _expect_label(rec, key):
     if not isinstance(value, str):
         raise CorpusError(f"expectation needs a string field {key!r}")
     return value
+
+
+def _expect_gram(cf: CorpusFile, rec: dict, order) -> GramMatrix:
+    """The Gram matrix that a gram or gram_psd record names."""
+    pairing = rec.get("pairing", "euler")
+    if pairing not in PAIRINGS:
+        raise CorpusError(f"expectation pairing must be one of {', '.join(PAIRINGS)}")
+    labels = rec.get("items")
+    if not isinstance(labels, list) or not labels:
+        raise CorpusError("expectation needs a nonempty list field 'items'")
+    return gram_matrix([cf.item(lbl) for lbl in labels], pairing, order)
 
 
 def _run_expectation(cf: CorpusFile, rec: dict, order):
@@ -334,7 +350,7 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
 
     if kind == "theta":
         left = cf.item(_expect_label(rec, "left"))
-        right = _presentation_of(cf.item(_expect_label(rec, "right")))
+        right = _as_presentation(cf.item(_expect_label(rec, "right")))
         want = rec.get("value")
         got = hochster_theta(left, right, order)
         return (f"theta {rec['left']} {rec['right']} = {want}",
@@ -342,7 +358,7 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
 
     if kind == "tor":
         item = cf.factorization(_expect_label(rec, "item"))
-        module = _presentation_of(cf.item(_expect_label(rec, "module")))
+        module = _as_presentation(cf.item(_expect_label(rec, "module")))
         want = rec.get("value")
         got = list(tor_lengths(item, module, order))
         return (f"tor {item.label} {rec['module']} = {want}",
@@ -374,34 +390,33 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
         if rec.get("zero") is True:
             return (f"chern {item.label} zero", all(c == 0 for c in coords),
                     f"found [{', '.join(format_fraction(c) for c in coords)}]")
-        want = [parse_fraction(v) for v in rec.get("coordinates", [])]
+        want = rec.get("coordinates", [])
+        if not isinstance(want, list):
+            raise CorpusError("expectation field 'coordinates' must be a list")
+        want = [parse_fraction(v) for v in want]
         return (f"chern {item.label}", list(coords) == want,
                 f"found [{', '.join(format_fraction(c) for c in coords)}]")
 
     if kind == "gram":
-        labels = rec.get("items", [])
-        items = [cf.item(lbl) for lbl in labels]
-        g = gram_matrix(items, rec.get("pairing", "euler"), order)
+        g = _expect_gram(cf, rec, order)
         want = rec.get("entries")
         got = [list(row) for row in g.entries]
-        return (f"gram {rec.get('pairing')} {','.join(labels)}",
+        return (f"gram {rec.get('pairing')} {','.join(rec['items'])}",
                 got == want, f"found {got}")
 
     if kind == "gram_psd":
-        labels = rec.get("items", [])
-        items = [cf.item(lbl) for lbl in labels]
-        g = gram_matrix(items, rec.get("pairing", "euler"), order)
+        g = _expect_gram(cf, rec, order)
         rep = is_positive_semidefinite(g)
         ok = rep.psd
         note = f"psd={rep.psd} kernel_dimension={len(rep.kernel_basis)}"
         if "kernel_dimension" in rec:
             ok = ok and len(rep.kernel_basis) == rec["kernel_dimension"]
-        return (f"gram_psd {rec.get('pairing')} {','.join(labels)}", ok, note)
+        return (f"gram_psd {rec.get('pairing')} {','.join(rec['items'])}", ok, note)
 
     if kind == "lemma":
         item = cf.factorization(_expect_label(rec, "item"))
         j = rec.get("j", 1)
-        holds = euler_lemma_check(item, j)
+        holds = _lemma_holds(item, j)
         return f"lemma {item.label} j={j}", holds, f"holds={holds}"
 
     return f"unknown check {kind!r}", False, "unrecognized expectation"

@@ -22,10 +22,11 @@ expectation records the selftest command replays. Shape:
 
 All polynomial entries are strings in the parser grammar. Matrices are rows
 of entry strings; module relations are lists of component strings, one list
-per generator. Rational values in expectations are strings like "1/9" so the
-file never holds a float. load_corpus validates eagerly and raises
-CorpusError naming the offending field; every factorization is checked
-against the potential on load.
+per generator, each of ambient_rank components (an integer, at least 1).
+Rational values in expectations are strings like "1/9" so the file never
+holds a float. load_corpus validates eagerly and raises CorpusError naming
+the offending field; every factorization is checked against the potential
+on load.
 """
 
 from __future__ import annotations
@@ -76,11 +77,21 @@ class CorpusFile:
 
 
 def _expect(data: dict, key: str, kind, where: str):
+    if not isinstance(data, dict):
+        raise CorpusError(f"{where}: must be an object")
     if key not in data:
         raise CorpusError(f"{where}: missing field {key!r}")
     value = data[key]
     if not isinstance(value, kind):
         raise CorpusError(f"{where}: field {key!r} has the wrong type")
+    return value
+
+
+def _list(data: dict, key: str, where: str) -> list:
+    """The optional list field key of data; absent means empty."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise CorpusError(f"{where}: {key} must be a list")
     return value
 
 
@@ -137,7 +148,7 @@ def load_corpus(path: str | Path) -> CorpusFile:
                              f"{where} potential")
 
     factorizations = []
-    for spec in raw.get("factorizations", []):
+    for spec in _list(raw, "factorizations", where):
         label = _expect(spec, "label", str, f"{where} factorization")
         a = _parse_matrix(spec.get("A"), variables, f"{where} {label} matrix A")
         b = _parse_matrix(spec.get("B"), variables, f"{where} {label} matrix B")
@@ -148,11 +159,14 @@ def load_corpus(path: str | Path) -> CorpusFile:
             raise CorpusError(f"{where} {label}: {exc}") from exc
 
     modules = []
-    for spec in raw.get("modules", []):
+    for spec in _list(raw, "modules", where):
         label = _expect(spec, "label", str, f"{where} module")
         ambient = _expect(spec, "ambient_rank", int, f"{where} module {label}")
+        if isinstance(ambient, bool) or ambient < 1:
+            raise CorpusError(f"{where} module {label}: ambient_rank must be a "
+                              f"positive integer")
         rels = []
-        for k, gen in enumerate(spec.get("relations", [])):
+        for k, gen in enumerate(_list(spec, "relations", f"{where} module {label}")):
             if not isinstance(gen, list) or len(gen) != ambient:
                 raise CorpusError(f"{where} module {label}: relation {k + 1} "
                                   f"needs {ambient} components")
@@ -167,9 +181,7 @@ def load_corpus(path: str | Path) -> CorpusFile:
         except (MfresError, ValueError) as exc:
             raise CorpusError(f"{where} module {label}: {exc}") from exc
 
-    expectations = raw.get("expectations", [])
-    if not isinstance(expectations, list):
-        raise CorpusError(f"{where}: expectations must be a list")
+    expectations = _list(raw, "expectations", where)
     for k, rec in enumerate(expectations):
         if not isinstance(rec, dict) or "check" not in rec:
             raise CorpusError(f"{where}: expectation {k + 1} needs a 'check' field")

@@ -69,9 +69,8 @@ class NilpotentOperator:
         if any(len(row) != n for row in self.matrix):
             raise MfresError("operator matrix must be square")
         check_operator_dimension(n)
-        zero = ratmat.zero_matrix(n)
         powers = [ratmat.identity(n)]
-        while powers[-1] != zero:
+        while any(map(any, powers[-1])):
             if len(powers) > n:
                 raise MfresError("operator is not nilpotent")
             powers.append(ratmat.mat_mul(powers[-1], self.matrix))

@@ -5,6 +5,10 @@ represented canonically as the reduced row echelon form of a spanning set, so
 two subspaces are equal exactly when their representations are equal. No
 floating point anywhere.
 
+Kernels are eliminated from the right: kernel_of takes the nullspace of the
+matrix with its columns reversed and reads it back, which is already the RREF
+of the kernel, so one elimination gives the canonical basis.
+
 Inside, the kernels run on Python ints: _integral scales a matrix by the lcm
 of its denominators, _echelon (under rref and subspace_intersect) eliminates
 by integer cross-multiplication and divides each changed row by its content,
@@ -25,18 +29,6 @@ from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-
-
-def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def zero_vector(d: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(d))
-
-
-def zero_matrix(d: int) -> Matrix:
-    return tuple(zero_vector(d) for _ in range(d))
 
 
 def identity(d: int) -> Matrix:
@@ -64,18 +56,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     den = da * db
     cols = list(zip(*ib))
     return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in ia)
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    d = len(a)
-    out = identity(d)
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -108,12 +88,9 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     return out, tuple(pivots)
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical basis of {v : a v = 0}, one vector per free column."""
-    if ncols is None:
-        if not a:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(a[0])
+def nullspace(a: Matrix, ncols: int) -> Matrix:
+    """Basis of {v : a v = 0}, one vector per free column of the RREF of a:
+    1 there, 0 at the other free columns."""
     if not a:
         return identity(ncols)
     reduced, pivots = rref(a)
@@ -148,14 +125,6 @@ def subspace_dim(s: Subspace) -> int:
     return len(s)
 
 
-def full_space(dim: int) -> Subspace:
-    return identity(dim)
-
-
-def subspace_sum(a: Subspace, b: Subspace, dim: int) -> Subspace:
-    return span(tuple(a) + tuple(b), dim)
-
-
 def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
     """Zassenhaus: RREF of [[A A],[B 0]]; rows with zero left half give the meet."""
     if not a or not b:
@@ -168,16 +137,19 @@ def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
                  for row, c in zip(reduced, pivots) if c >= dim)
 
 
-def contains_vector(s: Subspace, v: Vector) -> bool:
-    return subspace_leq((v,), s)
-
-
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
     return not any(any(w) for w in _residues(a, b)[0])
 
 
 def kernel_of(matrix: Matrix, dim: int) -> Subspace:
-    return span(nullspace(matrix, dim), dim)
+    """{v : matrix @ v = 0} as a canonical subspace, from one elimination.
+
+    The nullspace of the matrix with its columns reversed, read back in the
+    original order, has each vector 1 at its own free column, 0 at the other
+    free columns, and its other nonzeros at pivot columns to the right of
+    its own: in reverse order, these vectors are already the RREF."""
+    flipped = nullspace(tuple(row[::-1] for row in matrix), dim)
+    return tuple(v[::-1] for v in reversed(flipped))
 
 
 def image_of(matrix: Matrix) -> Subspace:
@@ -200,8 +172,6 @@ def map_subspace(matrix: Matrix, s: Subspace) -> Subspace:
 
 def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
     """{v : matrix @ v in target}, target a subspace of Q^rows."""
-    if not matrix:
-        return full_space(dim)
     # reduce each column's image modulo target, then kernel of what is left
     # (a common denominator does not move the kernel)
     reduced_cols = _residues(tuple(zip(*matrix)), target)[0]

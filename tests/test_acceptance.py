@@ -285,16 +285,16 @@ def filtration_lattice(op: NilpotentOperator) -> list:
     for a in range(e + 1):
         kernel = ratmat.kernel_of(powers[a], n) if a > 0 else ()
         for b in range(e + 1):
-            image = ratmat.image_of(powers[b]) if b > 0 else ratmat.full_space(n)
+            image = ratmat.image_of(powers[b]) if b > 0 else ratmat.identity(n)
             atoms.add(ratmat.subspace_intersect(kernel, image, n))
-    atoms.add(ratmat.full_space(n))
+    atoms.add(ratmat.identity(n))
 
     closed = set(atoms)
     frontier = list(atoms)
     while frontier:
         s = frontier.pop()
         for t in list(closed):
-            u = ratmat.subspace_sum(s, t, n)
+            u = ratmat.span(s + t, n)
             if u not in closed:
                 closed.add(u)
                 frontier.append(u)
@@ -307,7 +307,7 @@ def assert_unique_filtration(partition, center: int):
     lattice = filtration_lattice(op)
     e = op.nilpotency_index
     slots = 2 * e + 1
-    full = ratmat.full_space(op.dimension)
+    full = ratmat.identity(op.dimension)
 
     valid = []
 

@@ -331,6 +331,38 @@ class TestErrors:
         assert env["error"]["type"] == "BudgetError"
         assert limit in env["error"]["message"]
 
+    @pytest.mark.parametrize("section, index, value", [
+        ("factorizations", None, 7),
+        ("factorizations", 0, 7),
+        ("factorizations", 0, ["label", "N1"]),
+        ("modules", None, 7),
+        ("modules", 0, 7),
+        ("modules", 0, ["label", "Rx"]),
+        ("modules", 0, {"label": "Rx", "ambient_rank": 1, "relations": 5}),
+        ("modules", 0, {"label": "Rx", "ambient_rank": 0, "relations": [[]]}),
+        ("modules", 0, {"label": "Rx", "ambient_rank": -1, "relations": []}),
+        ("modules", 0, {"label": "Rx", "ambient_rank": True, "relations": [["x"]]}),
+    ])
+    def test_malformed_corpus_structure(self, capsys, tmp_path, section, index, value):
+        raw = json.loads((CORPUS / "node.json").read_text())
+        if index is None:
+            raw[section] = value
+        else:
+            raw[section][index] = value
+        (tmp_path / "node.json").write_text(json.dumps(raw))
+        for argv in (["validate", str(tmp_path / "node.json")],
+                     ["theta", str(tmp_path / "node.json"), "--left", "Rx", "--right", "Rx"],
+                     ["selftest", str(tmp_path)]):
+            code, env = run_json(capsys, *argv)
+            assert code == 1
+            assert env["error"]["type"] == "CorpusError"
+
+    def test_lemma_j_out_of_range(self, capsys):
+        code, env = run_json(capsys, "lemma-check", str(CORPUS / "node.json"),
+                             "--item", "N1", "--j", "0")
+        assert code == 1
+        assert env["error"]["type"] == "CorpusError"
+
     def test_text_error_rendering(self, capsys):
         code, out = run_cli(capsys, "--format", "text", "validate",
                             str(DATA / "bad.json"))
@@ -359,17 +391,29 @@ class TestSelftest:
         assert "warning" in env["results"]
 
     def test_failing_expectation_exits_1(self, capsys, tmp_path):
-        content = {
-            "name": "wrong",
-            "variables": ["x", "y"],
-            "potential": "x*y",
-            "factorizations": [{"label": "N1", "A": [["x"]], "B": [["y"]]}],
-            "expectations": [{"check": "milnor", "mu": 99}],
-        }
-        (tmp_path / "wrong.json").write_text(json.dumps(content))
-        code, env = run_json(capsys, "selftest", str(tmp_path))
-        assert code == 1
-        assert env["results"]["failed"] == 1
+        # a wrong value, then malformed records that fail as one error line
+        records = [({"check": "milnor", "mu": 99}, False),
+                   ({"check": "lemma", "item": "N1", "j": "x"}, True),
+                   ({"check": "lemma", "item": "N1", "j": 0}, True),
+                   ({"check": "gram", "pairing": "bogus", "items": ["N1"],
+                     "entries": [[1]]}, True),
+                   ({"check": "gram_psd", "pairing": "euler"}, True),
+                   ({"check": "chern", "item": "N1", "coordinates": 5}, True)]
+        for k, (record, error) in enumerate(records):
+            content = {
+                "name": "wrong",
+                "variables": ["x", "y"],
+                "potential": "x*y",
+                "factorizations": [{"label": "N1", "A": [["x"]], "B": [["y"]]}],
+                "expectations": [record],
+            }
+            directory = tmp_path / str(k)
+            directory.mkdir()
+            (directory / "wrong.json").write_text(json.dumps(content))
+            code, env = run_json(capsys, "selftest", str(directory))
+            assert code == 1
+            assert env["results"]["failed"] == 1
+            assert env["results"]["checks"][0]["description"].endswith("(error)") == error
 
 
 class TestTextFormat:

@@ -18,11 +18,11 @@ def _subspace_and_vectors(draw):
     vector = st.tuples(*[_ENTRY] * d)
     spanning = draw(st.lists(vector, max_size=d + 1))
     s = ratmat.span(spanning, d)
-    member = ratmat.zero_vector(d)
+    member = (Fraction(0),) * d
     for v in spanning:
         c = draw(_ENTRY)
         member = tuple(a + c * b for a, b in zip(member, v))
-    return d, s, [ratmat.zero_vector(d), member] + draw(st.lists(vector, max_size=4))
+    return d, s, [(Fraction(0),) * d, member] + draw(st.lists(vector, max_size=4))
 
 
 def _in_span(s, v) -> bool:
@@ -37,7 +37,7 @@ class TestMembership:
         d, s, vectors = case
         for v in vectors:
             inside = _in_span(s, v)
-            assert ratmat.contains_vector(s, v) == inside
+            assert ratmat.subspace_leq((v,), s) == inside
             assert ratmat.subspace_leq(ratmat.span([v], d), s) == inside
             remainder = ratmat.reduce_mod(v, s)
             assert (not any(remainder)) == inside
@@ -178,6 +178,40 @@ class _Kernels:
             assert _all_fractions(got)
             if a:
                 assert not any(any(row) for row in _ref_mat_mul(a, tuple(zip(*got))))
+        check()
+
+    def test_kernel_of(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            ncols = data.draw(st.integers(0, 4))
+            a = data.draw(_rows(self.ENTRY, width=ncols))
+            got = ratmat.kernel_of(a, ncols)
+            assert got == _ref_rref(_ref_nullspace(a, ncols))[0]
+            assert repr(got) == repr(ratmat.span(ratmat.nullspace(a, ncols), ncols))
+            assert _all_fractions(got)
+        check()
+
+    def test_preimage_in(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            d = data.draw(st.integers(1, 4))
+            matrix = data.draw(_rows(self.ENTRY, width=d))
+            rows = len(matrix)
+            target = ratmat.span(data.draw(_rows(_FRACTION, width=rows)), rows)
+            if matrix and data.draw(st.booleans()):  # hit the image more often
+                target = ratmat.span(target + (tuple(row[0] for row in matrix),), rows)
+            if self.ENTRY is not _FRACTION:
+                target = _with_ints(data.draw, target)
+            got = ratmat.preimage_in(matrix, target, d)
+            # v with matrix v = t.target: the first d entries of the
+            # nullspace of [matrix | -target^T]
+            stacked = tuple(tuple(row) + tuple(-Fraction(t[i]) for t in target)
+                            for i, row in enumerate(matrix))
+            pulled = [v[:d] for v in _ref_nullspace(stacked, d + len(target))]
+            assert got == _ref_rref([v for v in pulled if any(v)])[0]
+            assert _all_fractions(got)
         check()
 
     def test_mat_mul(self):
