@@ -17,11 +17,15 @@ the format) and pick items out of it by label:
 selftest replays every expectation record in a corpus directory and prints
 one PASS/FAIL line per check in text mode; it exits 1 when anything fails.
 weight-filtration stands apart: it reads a plain JSON matrix file.
+
+The argument parser is built on the first main call, not at import, and is
+reused by every later call for the life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -57,6 +61,7 @@ from .pairings import (
 from .polyring import Polynomial, parse_polynomial, to_string
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfres",

@@ -124,13 +124,16 @@ def _parse_matrix(rows: Any, variables, where: str) -> PolyMatrix:
 
 def read_json(path: str | Path) -> Any:
     """The JSON document in a file; any failure to read or decode it,
-    including integers past Python's digit limit, is a CorpusError."""
+    including integers past Python's digit limit and arrays or objects nested
+    past the decoder's recursion limit, is a CorpusError."""
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise CorpusError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CorpusError(f"{path} is nested too deeply") from exc
 
 
 def load_corpus(path: str | Path) -> CorpusFile:

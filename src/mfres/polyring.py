@@ -10,9 +10,9 @@ exact by construction.
 The module also provides the text grammar (rational literals, variables,
 + - * ^, parentheses, no implicit multiplication), derivatives, Jacobian
 generators, and exact determinants of polynomial matrices (Hessians,
-adjugates). The parser checks fixed budgets on literals, exponents and the
-powers and products in one text before it builds anything large, and raises
-BudgetError past them.
+adjugates). The parser checks fixed budgets on literals, exponents, the
+nesting of parentheses and the powers and products in one text before it
+builds anything large or recurses deeply, and raises BudgetError past them.
 
 PolyMatrix products run on Python ints: each factor is scaled once by the
 lcm of its denominators, entries accumulate as int coefficients, and each
@@ -57,8 +57,8 @@ class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients.
 
     The public constructor validates every exponent vector and coerces every
-    coefficient. _trusted skips that, and is only for the results of __add__
-    and __mul__, whose terms arithmetic has already normalised.
+    coefficient. _trusted skips that, and is only for the results of __add__,
+    __mul__ and __pow__, whose terms arithmetic has already normalised.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -209,8 +209,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n. A single term c*x^e goes in closed form to c^n * x^(n*e);
+        any other polynomial by repeated squaring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if len(self._terms) == 1:
+            [(exps, c)] = self._terms.items()
+            return Polynomial._trusted(self.ring, {tuple(e * n for e in exps): c ** n})
         result = Polynomial.one(self.ring)
         base = self
         while n:
@@ -281,12 +286,14 @@ def to_string(p: Polynomial) -> str:
 _OPS = set("+-*^()/")
 
 # Budgets on polynomial text, each checked before anything large is built:
-# the digits of an integer literal, an exponent, and the number of terms the
+# the digits of an integer literal, an exponent, the number of terms the
 # powers and products of polynomials with several terms in one text can have,
-# summed over the text (see _power_terms and _product_terms).
+# summed over the text (see _power_terms and _product_terms), and the depth of
+# nested parentheses, each of which costs the recursive descent five frames.
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2000
+MAX_NESTING_DEPTH = 100
 
 
 def _power_terms(p: Polynomial, n: int) -> int:
@@ -347,6 +354,7 @@ class _Parser:
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring)}
         self.expanded_terms = 0  # predicted terms of the powers and products so far
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self):
         return self.tokens[self.pos]
@@ -446,11 +454,16 @@ class _Parser:
                 raise UnknownVariableError(text, offset)
             return Polynomial.variable(self.ring, self.index[text])
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise BudgetError(f"parentheses nested {self.depth} deep exceed "
+                                  f"MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}", offset)
             self.advance()
             p = self.expr()
             if self.peek()[0] != ")":
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return p
         self.fail("expected a term")
 

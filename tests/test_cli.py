@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mfres import cli
 from mfres.cli import builtin_corpus_dir, main
 
 CORPUS = builtin_corpus_dir()
@@ -357,6 +359,28 @@ class TestErrors:
             assert code == 1
             assert env["error"]["type"] == "CorpusError"
 
+    @pytest.mark.parametrize("argv", [["validate", "{}"], ["psd", "{}"],
+                                      ["weight-filtration", "--matrix", "{}",
+                                       "--center", "0"]])
+    def test_json_nested_too_deeply(self, capsys, tmp_path, argv):
+        # the decoder recurses once per bracket and hits the recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, env = run_json(capsys, *(a.format(path) for a in argv))
+        assert code == 1
+        assert env["error"] == {"type": "CorpusError",
+                                "message": f"{path} is nested too deeply"}
+
+    def test_parentheses_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"name": "deep", "variables": ["x"],
+                                    "potential": "(" * 300 + "x" + ")" * 300}))
+        code, env = run_json(capsys, "validate", str(path))
+        assert code == 1
+        assert env["error"]["type"] == "BudgetError"
+        assert env["error"]["message"].endswith(
+            "MAX_NESTING_DEPTH = 100 (offset 100)")
+
     def test_lemma_j_out_of_range(self, capsys):
         code, env = run_json(capsys, "lemma-check", str(CORPUS / "node.json"),
                              "--item", "N1", "--j", "0")
@@ -430,6 +454,46 @@ class TestTextFormat:
         assert code == 0
         assert "chi: 1" in out
         assert "residue_side: -1" in out
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for argv in (["milnor", str(CORPUS / "node.json")],
+                     ["validate", str(CORPUS / "cubic.json")],
+                     ["euler", str(CORPUS / "node.json"), "--left", "N1", "--right", "N1"],
+                     ["--format", "text", "milnor", str(CORPUS / "cusp.json")]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        # the top level parser and one per subcommand, all on the first call
+        assert len(calls) == 1 + len(cli._COMMANDS) == 14
+
+    def test_reused_parser_answers_alike(self, capsys):
+        node = str(CORPUS / "node.json")
+        argvs = [["milnor", node],
+                 ["euler", node, "--left", "N1"],
+                 ["--help"],
+                 ["--format", "text", "hrr", node, "--left", "N1", "--right", "N1"],
+                 ["gram", "--help"],
+                 ["frobnicate"],
+                 ["theta", node, "--left", "Rx", "--right", "Ry"]]
+        cli._build_parser.cache_clear()
+        first = {}
+        for argv in argvs + argvs[::-1] + argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert first.setdefault(tuple(argv), (code, out, err)) == (code, out, err)
+        assert sorted(code for code, _, _ in first.values()) == [0, 0, 0, 0, 0, 2, 2]
 
 
 class TestDeterminism:

@@ -136,6 +136,20 @@ class TestParserBudgets:
             poly("x + 1/" + "7" * 5000)
         assert info.value.offset == 6
 
+    def test_nesting_depth(self):
+        def parse_below(frames, depth):
+            # leaves headroom for callers that are already deep in the stack
+            if frames:
+                return parse_below(frames - 1, depth)
+            return poly("(" * depth + "x" + ")" * depth)
+        assert parse_below(150, 100) == poly("x")
+        with pytest.raises(BudgetError, match="MAX_NESTING_DEPTH = 100") as info:
+            poly("x + " + "(" * 101 + "y" + ")" * 101)
+        assert info.value.offset == len("x + ") + 100
+
+    def test_sibling_parentheses_do_not_nest(self):
+        assert poly(" + ".join(["(" * 60 + "x" + ")" * 60] * 3)) == poly("3*x")
+
     def test_within_budget(self):
         assert poly("x^1000").total_degree() == 1000
         assert len(poly("(x + y)^20")) == 21
@@ -170,6 +184,27 @@ class TestArithmetic:
         for _ in range(5):
             q = q * p
         assert p ** 5 == q
+
+    @given(st.integers(0, 4), st.integers(0, 4),
+           st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+           st.integers(0, 15))
+    def test_single_term_power_matches_repeated_product(self, a, b, c, n):
+        p = Polynomial.monomial(XY, (a, b), c)
+        q = Polynomial.one(XY)
+        for _ in range(n):
+            q = q * p
+        assert (p ** n)._terms == q._terms
+
+    def test_monomial_powers_make_no_products(self, monkeypatch):
+        calls = []
+        original = Polynomial.__mul__
+
+        def counting(self, other):
+            calls.append(None)
+            return original(self, other)
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        assert poly("x^7*y^3") == Polynomial.monomial(XY, (7, 3))
+        assert len(calls) == 1
 
     def test_scalar_coercion(self):
         assert poly("x") * Fraction(1, 3) * 3 == poly("x")
