@@ -47,6 +47,7 @@ from .pairings import (
     PAIRINGS,
     GramMatrix,
     _as_presentation,
+    check_gram_size,
     chern_milnor_class,
     euler_pairing,
     gram_matrix,
@@ -245,6 +246,8 @@ def _cmd_psd(args, order):
         raise CorpusError(f"pairing must be one of {', '.join(PAIRINGS)}")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise CorpusError("entries must be a list of rows")
+    # the budget goes first, so an oversized report has no entry inspected
+    check_gram_size(max([len(labels), len(rows)] + [len(row) for row in rows]))
     # Gram entries are integers: no floats (2.0 included), booleans or strings
     if any(type(v) is not int for row in rows for v in row):
         raise CorpusError("entries must be integers")

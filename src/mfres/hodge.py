@@ -28,7 +28,13 @@ Gr_(m-l-2)) back to honest vectors, one representative per class.
 
 The powers N^0, ..., N^e are computed once, when a NilpotentOperator is
 built (which is also its nilpotency check), and every function here reads
-them from NilpotentOperator.powers. An operator on a space of dimension above
+them from the operator. The work runs on the integer forms of ratmat's core:
+the operator converts its powers to int rows once, in NilpotentOperator.
+int_powers, and a WeightFiltration converts its pieces once, when it is
+built, to the Echelons in WeightFiltration.int_pieces (refusing a piece
+that is not a canonical subspace). weight_filtration builds Fractions only
+for the pieces it returns, and primitive_subspace only for its result. An
+operator on a space of dimension above
 MAX_OPERATOR_DIMENSION is refused with BudgetError before any product is made,
 by check_operator_dimension, which a reader of matrix files can call before
 it converts any entry.
@@ -61,6 +67,8 @@ class NilpotentOperator:
 
     # N^0, N^1, ..., N^e with N^e = 0, so N^k is powers[min(k, e)]
     powers: tuple[ratmat.Matrix, ...] = field(init=False, repr=False, compare=False)
+    # each power times the lcm of its denominators, as int rows
+    int_powers: tuple[ratmat.IntRows, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -75,6 +83,8 @@ class NilpotentOperator:
                 raise MfresError("operator is not nilpotent")
             powers.append(ratmat.mat_mul(powers[-1], self.matrix))
         object.__setattr__(self, "powers", tuple(powers))
+        object.__setattr__(self, "int_powers",
+                           tuple(ratmat._integral(p)[0] for p in powers))
 
     @classmethod
     def from_rows(cls, rows, center: int) -> NilpotentOperator:
@@ -93,12 +103,28 @@ class NilpotentOperator:
 
 @dataclass(frozen=True)
 class WeightFiltration:
-    """Pieces W_lowest .. W_highest; below the range is zero, above is full."""
+    """Pieces W_lowest .. W_highest; below the range is zero, above is full.
+
+    Each piece must be a canonical subspace, as ratmat.span returns it:
+    otherwise ValueError names the piece."""
 
     operator: NilpotentOperator
     lowest: int
     highest: int
     pieces: tuple[ratmat.Subspace, ...]
+    # the pieces as ratmat Echelons
+    int_pieces: tuple[ratmat.Echelon, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.operator.dimension
+        forms = []
+        for i, piece in enumerate(self.pieces):
+            try:
+                forms.append(ratmat._canonical(piece, n))
+            except ValueError as exc:
+                raise ValueError(f"piece {i} (W_{self.lowest + i}) is not canonical: "
+                                 f"{exc}") from None
+        object.__setattr__(self, "int_pieces", tuple(forms))
 
     def piece(self, k: int) -> ratmat.Subspace:
         if k < self.lowest:
@@ -106,6 +132,12 @@ class WeightFiltration:
         if k > self.highest:
             return self.pieces[-1]
         return self.pieces[k - self.lowest]
+
+    def int_piece(self, k: int) -> ratmat.Echelon:
+        """piece(k) as an Echelon."""
+        if k < self.lowest:
+            return ratmat.Echelon([], [])
+        return self.int_pieces[min(k, self.highest) - self.lowest]
 
     def graded_dimension(self, k: int) -> int:
         return ratmat.subspace_dim(self.piece(k)) - ratmat.subspace_dim(self.piece(k - 1))
@@ -118,19 +150,21 @@ def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
     e = op.nilpotency_index
     # ker N^t for 0 < t < e and im N^t for t < e; ker N^0 = 0, ker N^e = Q^n,
     # im N^0 = Q^n and im N^e = 0 are never intersected
-    kernels = [()] + [ratmat.kernel_of(power, n) for power in op.powers[1:e]]
-    images = [ratmat.image_of(power) for power in op.powers[:e]]
+    kernels = [None] + [ratmat._kernel(power, n) for power in op.int_powers[1:e]]
+    images = [ratmat._image(power) for power in op.int_powers[:e]]
 
     pieces = []
     for l in range(-e, e + 1):
-        rows: list[ratmat.Vector] = []
+        rows: ratmat.IntRows = []
         for j in range(max(0, -l), e):
             t = l + j + 1
             if t >= e:
-                rows += images[j]
+                rows += images[j].rows
                 break
-            rows += kernels[t] if j == 0 else ratmat.subspace_intersect(kernels[t], images[j], n)
-        pieces.append(ratmat.span(rows, n))
+            term = kernels[t] if j == 0 else ratmat._intersect(kernels[t].rows,
+                                                                images[j].rows, n)
+            rows += term.rows
+        pieces.append(ratmat._fractions(ratmat._echelon(rows)))
 
     wf = WeightFiltration(operator=op, lowest=m - e, highest=m + e,
                           pieces=tuple(pieces))
@@ -147,24 +181,21 @@ class WeightAxiomReport:
 
 
 def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
-    """Check the defining axioms on any candidate filtration.
-
-    Its pieces must be canonical subspaces, as ratmat.span returns them:
-    containment is read off their RREF rows.
-    """
+    """Check the defining axioms on any candidate filtration."""
     op = wf.operator
     n = op.dimension
     m = op.center
+    e = op.nilpotency_index
+    piece = wf.int_piece
 
     shift_ok = ratmat.subspace_dim(wf.piece(wf.highest)) == n
     for k in range(wf.lowest, wf.highest + 1):
-        if not ratmat.subspace_leq(wf.piece(k - 1), wf.piece(k)):
+        if not ratmat._leq(piece(k - 1).rows, piece(k)):
             shift_ok = False
-        moved = ratmat.map_subspace(op.matrix, wf.piece(k))
-        if not ratmat.subspace_leq(moved, wf.piece(k - 2)):
+        moved = ratmat._map(op.int_powers[1], piece(k).rows)
+        if not ratmat._leq(moved, piece(k - 2)):
             shift_ok = False
 
-    e = op.nilpotency_index
     span_up = max(wf.highest - m, m - wf.lowest, 0)
     iso_ok = True
     for l in range(1, span_up + 1):
@@ -173,9 +204,9 @@ def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
             continue
         # injectivity of N^l on Gr_(m+l): anything in W_(m+l) that lands in
         # W_(m-l-1) must already lie in W_(m+l-1)
-        pulled = ratmat.preimage_in(op.powers[min(l, e)], wf.piece(m - l - 1), n)
-        inside = ratmat.subspace_intersect(pulled, wf.piece(m + l), n)
-        if not ratmat.subspace_leq(inside, wf.piece(m + l - 1)):
+        pulled = ratmat._preimage(op.int_powers[min(l, e)], piece(m - l - 1), n)
+        inside = ratmat._intersect(pulled.rows, piece(m + l).rows, n)
+        if not ratmat._leq(inside.rows, piece(m + l - 1)):
             iso_ok = False
     return WeightAxiomReport(shift_ok=shift_ok, iso_ok=iso_ok)
 
@@ -195,8 +226,8 @@ def primitive_subspace(wf: WeightFiltration, l: int) -> tuple[ratmat.Vector, ...
     op = wf.operator
     n = op.dimension
     m = op.center
-    power = op.powers[min(l + 1, op.nilpotency_index)]
-    pulled = ratmat.preimage_in(power, wf.piece(m - l - 3), n)
-    inside = ratmat.subspace_intersect(pulled, wf.piece(m + l), n)
-    below = wf.piece(m + l - 1)
-    return ratmat.span([ratmat.reduce_mod(row, below) for row in inside], n)
+    power = op.int_powers[min(l + 1, op.nilpotency_index)]
+    pulled = ratmat._preimage(power, wf.int_piece(m - l - 3), n)
+    inside = ratmat._intersect(pulled.rows, wf.int_piece(m + l).rows, n)
+    residues = ratmat._residues(inside.rows, wf.int_piece(m + l - 1))[0]
+    return ratmat._fractions(ratmat._echelon(residues))

@@ -46,6 +46,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import (
+    BudgetError,
     FactorizationError,
     InternalCheckError,
     MfresError,
@@ -404,6 +405,17 @@ def _potential_of(item: PairingInput) -> Polynomial:
     return item.potential
 
 
+# largest Gram matrix accepted by is_positive_semidefinite: exact LDL^T costs
+# about the cube of the size, more as the entries grow
+MAX_GRAM_SIZE = 128
+
+
+def check_gram_size(n: int) -> None:
+    """BudgetError when a Gram matrix of size n is over the budget."""
+    if n > MAX_GRAM_SIZE:
+        raise BudgetError(f"gram matrix of size {n} exceeds MAX_GRAM_SIZE = {MAX_GRAM_SIZE}")
+
+
 @dataclass(frozen=True)
 class PsdReport:
     psd: bool
@@ -414,6 +426,7 @@ class PsdReport:
 def is_positive_semidefinite(g: GramMatrix) -> PsdReport:
     """Exact LDL^T with largest diagonal pivoting; kernel basis when PSD."""
     n = g.size
+    check_gram_size(max([n, len(g.entries)] + [len(row) for row in g.entries]))
     m = [[Fraction(v) for v in row] for row in g.entries]
     for i in range(n):
         for j in range(n):

@@ -5,19 +5,31 @@ represented canonically as the reduced row echelon form of a spanning set, so
 two subspaces are equal exactly when their representations are equal. No
 floating point anywhere.
 
-Kernels are eliminated from the right: kernel_of takes the nullspace of the
-matrix with its columns reversed and reads it back, which is already the RREF
-of the kernel, so one elimination gives the canonical basis.
+Inside, everything runs on Python ints. A matrix becomes int rows by
+_integral, which scales it by the lcm of its denominators. A subspace's
+working form, an Echelon, is what _echelon returns: the echelon rows as
+primitive int lists, each zero at the other rows' pivots, and their pivot
+columns. Dividing each row by its pivot entry gives the RREF (_fractions),
+and _canonical reads a canonical Fraction subspace back, checking its shape
+as it goes. The core routines take and return Echelons, except that an
+argument that only needs to span something, and _map's result, are plain
+int rows:
 
-Inside, the kernels run on Python ints: _integral scales a matrix by the lcm
-of its denominators, _echelon (under rref and subspace_intersect) eliminates
-by integer cross-multiplication and divides each changed row by its content,
-products accumulate ints and divide once per entry, and reductions modulo a
-subspace carry one common denominator. Fractions appear only at the
-boundary: every entry that comes out is a Fraction (inputs may mix in ints).
-The RREF of a row space is unique and each other result is an exact value,
-so the outputs are the same as those of plain Fraction Gauss-Jordan
-elimination.
+    _kernel, _image, _map, _preimage, _intersect, _leq, _residues
+
+_echelon eliminates by integer cross-multiplication and divides each changed
+row by its content; each kernel costs one elimination (see _kernel).
+_residues reduces several vectors modulo a subspace over one common scale,
+the lcm of its pivot entries: _preimage takes a kernel of the residues, and
+scaling each one by its own factor would change that kernel.
+
+The public functions take and return Fractions (inputs may mix in ints) and
+are conversions around this core; the ones that read a subspace's pivots
+(subspace_leq, preimage_in, reduce_mod) raise ValueError on a subspace that
+is not canonical. hodge keeps its operators and filtrations
+in the integer form and calls the core directly. The RREF of a row space is
+unique and each other result is an exact value, so the outputs are the same
+as those of plain Fraction Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -25,17 +37,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+IntRows = list[list[int]]
+
+
+class Echelon(NamedTuple):
+    """A subspace's working form: its echelon rows as primitive int lists,
+    each zero at the other rows' pivots, and their pivot columns."""
+    rows: IntRows
+    pivots: list[int]
 
 
 def identity(d: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
 
 
-def _integral(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+def _integral(rows: Sequence[Sequence]) -> tuple[IntRows, int]:
     """The rows times the lcm of all their denominators, as ints, and that lcm."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
@@ -48,6 +68,30 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _fractions(form: Echelon) -> Matrix:
+    """The RREF: each echelon row divided by its pivot entry."""
+    rows, pivots = form
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots))
+
+
+def _canonical(s: Sequence[Sequence], dim: int) -> Echelon:
+    """The Echelon of a canonical subspace, read in one pass with no
+    elimination. ValueError unless every row has length dim, starts with a
+    leading 1, at a pivot right of the previous row's, and every other row
+    is 0 at that pivot."""
+    pivots = []
+    for row in s:
+        if len(row) != dim:
+            raise ValueError(f"a row of length {len(row)} in a subspace of Q^{dim}")
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
+            raise ValueError("rows must be nonzero with leading 1s at increasing pivots")
+        pivots.append(c)
+    if any(row[c] for i, row in enumerate(s) for c in pivots[i + 1:]):
+        raise ValueError("a row is nonzero at another row's pivot")
+    return Echelon([_primitive(row) for row in _integral(s)[0]], pivots)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
@@ -58,7 +102,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in ia)
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: IntRows) -> Echelon:
     """Integer Gauss-Jordan: the nonzero rows, each zero at the other rows'
     pivots and divided by its content, and the pivot columns."""
     work = [_primitive(row) for row in rows]
@@ -78,32 +122,105 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return work[:len(pivots)], pivots
+    return Echelon(work[:len(pivots)], pivots)
+
+
+def _free_basis(form: Echelon, ncols: int) -> tuple[IntRows, list[int]]:
+    """The nullspace of the echelon rows, one primitive vector per free
+    column: positive there, 0 at the other free columns. Also the free
+    columns."""
+    rows, pivots = form
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = []
+    for fc in free:
+        used = [(row, c) for row, c in zip(rows, pivots) if row[fc]]
+        scale = lcm(*(row[c] for row, c in used))
+        v = [0] * ncols
+        v[fc] = scale
+        for row, c in used:
+            v[c] = -row[fc] * scale // row[c]
+        basis.append(_primitive(v))
+    return basis, free
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
-    work, pivots = _echelon(_integral(rows)[0])
-    out = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(work, pivots))
-    return out, tuple(pivots)
+    form = _echelon(_integral(rows)[0])
+    return _fractions(form), tuple(form.pivots)
 
 
 def nullspace(a: Matrix, ncols: int) -> Matrix:
     """Basis of {v : a v = 0}, one vector per free column of the RREF of a:
     1 there, 0 at the other free columns."""
-    if not a:
-        return identity(ncols)
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return tuple(basis)
+    basis, free = _free_basis(_echelon(_integral(a)[0]), ncols)
+    return tuple(tuple(Fraction(x, v[fc]) for x in v) for v, fc in zip(basis, free))
+
+
+# ---------------------------------------------------------------------------
+# subspaces: the integer core
+
+def _kernel(matrix: IntRows, dim: int) -> Echelon:
+    """{v : matrix @ v = 0}, from one elimination.
+
+    The nullspace of the matrix with its columns reversed, read back in the
+    original order, has each vector nonzero at its own free column, 0 at the
+    other free columns, and its other nonzeros at pivot columns to the right
+    of its own: in reverse order, these vectors are already an Echelon."""
+    basis, free = _free_basis(_echelon([row[::-1] for row in matrix]), dim)
+    return Echelon([v[::-1] for v in reversed(basis)], [dim - 1 - c for c in reversed(free)])
+
+
+def _image(matrix: IntRows) -> Echelon:
+    """Column space of the matrix."""
+    return _echelon([list(col) for col in zip(*matrix)])
+
+
+def _map(matrix: IntRows, rows: IntRows) -> IntRows:
+    """The images of the rows under the matrix, which span the image of
+    their span: _leq reads them as they are, _echelon makes them an
+    Echelon."""
+    return [[sum(map(mul, mrow, v)) for mrow in matrix] for v in rows]
+
+
+def _residues(vectors: IntRows, s: Echelon) -> tuple[IntRows, int]:
+    """Each vector reduced modulo s, all over one common scale: v times the
+    lcm of the pivot entries, minus the multiple of each row of s that
+    clears its pivot. The rows are zero at the other rows' pivots, so they
+    clear all pivots at once. Returns the residues and the scale."""
+    rows, pivots = s
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    leads = [(c, scale // row[c], row) for row, c in zip(rows, pivots)]
+    out = []
+    for v in vectors:
+        w = [scale * x for x in v]
+        for c, f, row in leads:
+            if v[c]:
+                k = v[c] * f
+                w = [x - k * y for x, y in zip(w, row)]
+        out.append(w)
+    return out, scale
+
+
+def _leq(vectors: IntRows, s: Echelon) -> bool:
+    """Whether every vector lies in s."""
+    return not any(map(any, _residues(vectors, s)[0]))
+
+
+def _preimage(matrix: IntRows, target: Echelon, dim: int) -> Echelon:
+    """{v : matrix @ v in target}: the kernel of the matrix whose columns are
+    the residues of the matrix's columns modulo target."""
+    residues = _residues([list(col) for col in zip(*matrix)], target)[0]
+    return _kernel([list(row) for row in zip(*residues)], dim)
+
+
+def _intersect(a: IntRows, b: IntRows, dim: int) -> Echelon:
+    """Zassenhaus: echelon form of [[A A],[B 0]]; the rows with their pivot
+    in the right half come last, and their right halves span the meet."""
+    if not a or not b:
+        return Echelon([], [])
+    rows, pivots = _echelon([r + r for r in a] + [r + [0] * dim for r in b])
+    meet = [i for i, c in enumerate(pivots) if c >= dim]
+    return Echelon([rows[i][dim:] for i in meet], [pivots[i] - dim for i in meet])
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +231,6 @@ Subspace = Matrix  # rows form an RREF basis; () is the zero subspace
 
 def span(vectors: Sequence[Vector], dim: int) -> Subspace:
     vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return ()
     if any(len(v) != dim for v in vecs):
         raise ValueError("vector length does not match ambient dimension")
     return rref(vecs)[0]
@@ -126,78 +241,38 @@ def subspace_dim(s: Subspace) -> int:
 
 
 def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
-    """Zassenhaus: RREF of [[A A],[B 0]]; rows with zero left half give the meet."""
-    if not a or not b:
-        return ()
-    rows = _integral(tuple(a) + tuple(b))[0]
-    block = [r + r for r in rows[:len(a)]] + [r + [0] * dim for r in rows[len(a):]]
-    reduced, pivots = _echelon(block)
-    # the rows with their pivot in the right half come last: already an RREF
-    return tuple(tuple(Fraction(x, row[c]) for x in row[dim:])
-                 for row, c in zip(reduced, pivots) if c >= dim)
+    return _fractions(_intersect(_integral(a)[0], _integral(b)[0], dim))
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    return not any(any(w) for w in _residues(a, b)[0])
+    """Whether the rows of a lie in b; b must be canonical."""
+    return _leq(_integral(a)[0], _canonical(b, len(b[0]) if b else 0))
 
 
 def kernel_of(matrix: Matrix, dim: int) -> Subspace:
-    """{v : matrix @ v = 0} as a canonical subspace, from one elimination.
-
-    The nullspace of the matrix with its columns reversed, read back in the
-    original order, has each vector 1 at its own free column, 0 at the other
-    free columns, and its other nonzeros at pivot columns to the right of
-    its own: in reverse order, these vectors are already the RREF."""
-    flipped = nullspace(tuple(row[::-1] for row in matrix), dim)
-    return tuple(v[::-1] for v in reversed(flipped))
+    """{v : matrix @ v = 0} as a canonical subspace, from one elimination."""
+    return _fractions(_kernel(_integral(matrix)[0], dim))
 
 
 def image_of(matrix: Matrix) -> Subspace:
     """Column space of the matrix, as a canonical subspace of Q^rows."""
-    if not matrix:
-        return ()
-    cols = tuple(zip(*matrix))
-    return span([tuple(c) for c in cols], len(matrix))
+    return _fractions(_image(_integral(matrix)[0]))
 
 
 def map_subspace(matrix: Matrix, s: Subspace) -> Subspace:
     """Image of a subspace under the matrix, inside Q^rows."""
-    if not matrix:
-        return ()
-    # span ignores the scale of each vector, so the integer rows will do
-    rows = _integral(matrix)[0]
-    return span([[sum(map(mul, row, v)) for row in rows] for v in _integral(s)[0]],
-                len(matrix))
+    return _fractions(_echelon(_map(_integral(matrix)[0], _integral(s)[0])))
 
 
 def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
-    """{v : matrix @ v in target}, target a subspace of Q^rows."""
-    # reduce each column's image modulo target, then kernel of what is left
-    # (a common denominator does not move the kernel)
-    reduced_cols = _residues(tuple(zip(*matrix)), target)[0]
-    return kernel_of(tuple(zip(*reduced_cols)), dim)
+    """{v : matrix @ v in target}, target a canonical subspace of Q^rows."""
+    return _fractions(_preimage(_integral(matrix)[0], _canonical(target, len(matrix)), dim))
 
 
 def reduce_mod(vec: Sequence[Fraction], s: Subspace) -> Vector:
-    """Canonical representative of vec modulo the subspace: each RREF row
-    clears its pivot, so the result is zero exactly when vec lies in s."""
-    (out,), den = _residues((vec,), s)
-    return tuple(Fraction(x, den) for x in out)
-
-
-def _residues(vectors: Sequence[Sequence], s: Subspace) -> tuple[list[list[int]], int]:
-    """Integer numerators over one common denominator of reduce_mod of each
-    vector. Every RREF row is zero at the other rows' pivots, so all rows
-    clear their pivots at once: v - sum of v[pivot] * row."""
-    vecs, dv = _integral(vectors)
-    rows, d = _integral(s)
-    leads = [(next(i for i, x in enumerate(row) if x), row) for row in rows]
-    out = []
-    for v in vecs:
-        w = [d * x for x in v]
-        for p, row in leads:
-            f = v[p]
-            if f:
-                w = [x - f * y for x, y in zip(w, row)]
-        out.append(w)
-    return out, d * dv
+    """Canonical representative of vec modulo the canonical subspace s: each
+    RREF row clears its pivot, so the result is zero exactly when vec lies
+    in s."""
+    (v,), den = _integral((vec,))
+    (out,), scale = _residues([v], _canonical(s, len(vec)))
+    return tuple(Fraction(x, den * scale) for x in out)

@@ -179,6 +179,28 @@ class TestGramAndPsd:
         assert env["error"]["type"] == "CorpusError"
 
 
+    # one over MAX_GRAM_SIZE = 128 in the labels, the rows or one row; every
+    # entry is a string, so a type check of any entry would be a CorpusError
+    @pytest.mark.parametrize("labels, rows", [
+        (129, [["1"]]), (1, [["1"]] * 129), (1, [["1"] * 129])],
+        ids=["129_labels", "129_rows", "row_of_129"])
+    def test_psd_size_budget_comes_before_any_entry(self, capsys, tmp_path,
+                                                    monkeypatch, labels, rows):
+        def refuse(g):
+            raise AssertionError("the report reached the LDL^T")
+        monkeypatch.setattr(cli, "is_positive_semidefinite", refuse)
+        report = tmp_path / "big.json"
+        report.write_text(json.dumps({
+            "pairing": "euler", "labels": [f"x{i}" for i in range(labels)],
+            "entries": rows,
+        }))
+        code, env = run_json(capsys, "psd", str(report))
+        assert code == 1
+        assert env["error"] == {
+            "type": "BudgetError",
+            "message": "gram matrix of size 129 exceeds MAX_GRAM_SIZE = 128"}
+
+
 class TestWeightFiltration:
     def test_jordan_3_1(self, capsys, tmp_path):
         matrix = tmp_path / "n.json"

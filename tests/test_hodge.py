@@ -118,6 +118,33 @@ class TestAxioms:
         assert not report.shift_ok
         assert not report.iso_ok
 
+    def test_non_canonical_piece_refused(self):
+        # Q^2 written as ((1,1),(0,1)) is not an RREF, and containment read off
+        # its rows would misreport the valid filtration
+        op = NilpotentOperator.from_rows([[0, 1], [0, 0]], center=0)
+        wf = weight_filtration(op)
+        full = ratmat.identity(2)
+        twisted = tuple(((1, 1), (0, 1)) if p == full else p for p in wf.pieces)
+        assert twisted[2:] == (((1, 0),), ((1, 1), (0, 1)), ((1, 1), (0, 1)))
+        with pytest.raises(ValueError, match=r"piece 3 \(W_1\)"):
+            WeightFiltration(operator=op, lowest=wf.lowest, highest=wf.highest,
+                             pieces=twisted)
+        twin = WeightFiltration(operator=op, lowest=wf.lowest, highest=wf.highest,
+                                pieces=wf.pieces)
+        assert verify_weight_axioms(twin) == hodge.WeightAxiomReport(True, True)
+
+    @pytest.mark.parametrize("piece", [
+        ((0, 1), (1, 0)),                # pivots out of order
+        ((2, 0),),                       # no leading 1
+        ((1, 0), (0, 0)),                # a zero row
+        ((1, 1), (0, 1)),                # nonzero at the other row's pivot
+        ((1, 0, 0),),                    # wrong length
+    ])
+    def test_piece_shapes_checked(self, piece):
+        op = NilpotentOperator.from_rows([[0, 1], [0, 0]], center=0)
+        with pytest.raises(ValueError, match="piece 0"):
+            WeightFiltration(operator=op, lowest=0, highest=0, pieces=(piece,))
+
     def test_off_center_candidate_fails(self):
         # the correct filtration for center 0, presented as if centered at 2
         op = NilpotentOperator.from_rows(jordan_matrix((2,)), center=2)
@@ -244,16 +271,17 @@ class TestWorkCounts:
         calls = self._pipeline_calls(partition, conjugate, monkeypatch, ["mat_mul"])
         assert calls["mat_mul"] == max(partition)
 
-    # Only the needed terms of the closed formula are formed, and each
-    # intersection and each kernel eliminates once, with no span of its
-    # result. _echelon counts every elimination: rref's and the intersections'.
-    @pytest.mark.parametrize("partition, conjugate, rref, intersect, eliminations", [
-        ((3, 1), False, 31, 14, 45),
-        ((8,), False, 85, 74, 159),
-        ((4, 2, 1, 1), True, 43, 22, 65)])
-    def test_eliminations(self, partition, conjugate, rref, intersect, eliminations,
+    # Only the needed terms of the closed formula are formed, each kernel and
+    # each intersection eliminates once, and the pipeline runs on the integer
+    # forms: besides the two in each product, _integral converts each power
+    # once and each piece once, when the filtration is built. _echelon
+    # counts every elimination.
+    @pytest.mark.parametrize("partition, conjugate, conversions, eliminations", [
+        ((3, 1), False, 17, 40),
+        ((8,), False, 42, 140),
+        ((4, 2, 1, 1), True, 22, 56)])
+    def test_eliminations(self, partition, conjugate, conversions, eliminations,
                           monkeypatch):
         calls = self._pipeline_calls(partition, conjugate, monkeypatch,
-                                     ["rref", "subspace_intersect", "_echelon"])
-        assert calls == {"rref": rref, "subspace_intersect": intersect,
-                         "_echelon": eliminations}
+                                     ["_integral", "_echelon"])
+        assert calls == {"_integral": conversions, "_echelon": eliminations}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mfres import (
     DEGREVLEX,
     LEX,
+    BudgetError,
     FactorizationError,
     FreeModuleElement,
     MatrixFactorization,
@@ -461,6 +462,16 @@ class TestPsd:
         g = GramMatrix(("a", "b"), "euler", ((0, 1), (2, 0)))
         with pytest.raises(MfresError):
             is_positive_semidefinite(g)
+
+    def test_size_budget(self):
+        from mfres.pairings import MAX_GRAM_SIZE
+        n = MAX_GRAM_SIZE
+        zero = GramMatrix(tuple(map(str, range(n))), "euler", ((0,) * n,) * n)
+        assert len(is_positive_semidefinite(zero).kernel_basis) == n
+        # strings would fail to convert: the budget comes before any entry
+        over = GramMatrix(tuple(map(str, range(n + 1))), "euler", (("x",) * (n + 1),) * (n + 1))
+        with pytest.raises(BudgetError, match="MAX_GRAM_SIZE = 128"):
+            is_positive_semidefinite(over)
 
 
 class TestCombinations:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfres import ratmat
@@ -45,6 +46,26 @@ class TestMembership:
             assert _in_span(s, tuple(a - b for a, b in zip(v, remainder)))
         assert ratmat.subspace_leq(ratmat.span(vectors, d), s) == all(
             _in_span(s, v) for v in vectors)
+
+
+class TestCanonicalArguments:
+    def test_non_canonical_subspace_refused(self):
+        # ((1,1),(0,1)) spans Q^2 but is no RREF: read off its rows, (1,0)
+        # would look outside it
+        twisted = ((1, 1), (0, 1))
+        with pytest.raises(ValueError):
+            ratmat.subspace_leq(((1, 0),), twisted)
+        with pytest.raises(ValueError):
+            ratmat.reduce_mod((1, 0), twisted)
+        with pytest.raises(ValueError):
+            ratmat.preimage_in(ratmat.identity(2), twisted, 2)
+        assert ratmat.subspace_leq(((1, 0),), ratmat.span(twisted, 2))
+
+    def test_canonical_form_round_trips(self):
+        s = ratmat.span([(2, 4, Fraction(1, 3)), (0, 0, 5), (1, 2, 0)], 3)
+        form = ratmat._canonical(s, 3)
+        assert form == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+        assert ratmat._fractions(form) == s
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +170,20 @@ def _with_ints(draw, rows):
                        for x in row) for row in rows)
 
 
+def _ints(rows):
+    """Int rows of a matrix, for the core: the matrix over one common scale."""
+    return ratmat._integral(rows)[0]
+
+
+def _out(form):
+    """A core Echelon as the canonical Fraction subspace."""
+    return ratmat._fractions(form)
+
+
+def _ref_transpose(rows, width):
+    return tuple(tuple(row[c] for row in rows) for c in range(width))
+
+
 _EXAMPLES = 60
 
 
@@ -187,9 +222,24 @@ class _Kernels:
             ncols = data.draw(st.integers(0, 4))
             a = data.draw(_rows(self.ENTRY, width=ncols))
             got = ratmat.kernel_of(a, ncols)
-            assert got == _ref_rref(_ref_nullspace(a, ncols))[0]
+            want = _ref_rref(_ref_nullspace(a, ncols))[0]
+            assert got == want
             assert repr(got) == repr(ratmat.span(ratmat.nullspace(a, ncols), ncols))
             assert _all_fractions(got)
+            assert _out(ratmat._kernel(_ints(a), ncols)) == want
+        check()
+
+    def test_image_of(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            width = data.draw(st.integers(0, 4))
+            a = data.draw(_rows(self.ENTRY, width=width))
+            want = _ref_rref(_ref_transpose(a, width))[0]
+            got = ratmat.image_of(a)
+            assert got == want
+            assert _all_fractions(got)
+            assert _out(ratmat._image(_ints(a))) == want
         check()
 
     def test_preimage_in(self):
@@ -201,7 +251,9 @@ class _Kernels:
             rows = len(matrix)
             target = ratmat.span(data.draw(_rows(_FRACTION, width=rows)), rows)
             if matrix and data.draw(st.booleans()):  # hit the image more often
-                target = ratmat.span(target + (tuple(row[0] for row in matrix),), rows)
+                cols = data.draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=2))
+                target = ratmat.span(target + tuple(tuple(row[c] for row in matrix)
+                                                    for c in cols), rows)
             if self.ENTRY is not _FRACTION:
                 target = _with_ints(data.draw, target)
             got = ratmat.preimage_in(matrix, target, d)
@@ -210,8 +262,11 @@ class _Kernels:
             stacked = tuple(tuple(row) + tuple(-Fraction(t[i]) for t in target)
                             for i, row in enumerate(matrix))
             pulled = [v[:d] for v in _ref_nullspace(stacked, d + len(target))]
-            assert got == _ref_rref([v for v in pulled if any(v)])[0]
+            want = _ref_rref([v for v in pulled if any(v)])[0]
+            assert got == want
             assert _all_fractions(got)
+            form = ratmat._canonical(target, rows)
+            assert _out(ratmat._preimage(_ints(matrix), form, d)) == want
         check()
 
     def test_mat_mul(self):
@@ -239,8 +294,10 @@ class _Kernels:
             got = ratmat.map_subspace(matrix, s)
             moved = [tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0))
                            for row in matrix) for v in s]
-            assert got == _ref_rref([v for v in moved if any(v)])[0]
+            want = _ref_rref([v for v in moved if any(v)])[0]
+            assert got == want
             assert _all_fractions(got)
+            assert _out(ratmat._echelon(ratmat._map(_ints(matrix), _ints(s)))) == want
         check()
 
     def test_subspace_intersect(self):
@@ -255,9 +312,28 @@ class _Kernels:
             if self.ENTRY is not _FRACTION:
                 a, b = _with_ints(data.draw, a), _with_ints(data.draw, b)
             got = ratmat.subspace_intersect(a, b, d)
-            assert got == _ref_intersect(a, b, d)
+            want = _ref_intersect(a, b, d)
+            assert got == want
             assert got == ratmat.span(got, d)  # canonical
             assert _all_fractions(got)
+            assert _out(ratmat._intersect(_ints(a), _ints(b), d)) == want
+        check()
+
+    def test_subspace_leq(self):
+        @given(st.data())
+        @settings(max_examples=_EXAMPLES, deadline=None)
+        def check(data):
+            d = data.draw(st.integers(1, 4))
+            s = ratmat.span(data.draw(_rows(_FRACTION, width=d)), d)
+            vectors = data.draw(_rows(self.ENTRY, width=d))
+            if s and data.draw(st.booleans()):  # inside more often
+                vectors = tuple(tuple(Fraction(x) * c for x in s[-1])
+                                for c in (1, Fraction(-3, 7))) + vectors[:1]
+            if self.ENTRY is not _FRACTION:
+                s = _with_ints(data.draw, s)
+            want = len(_ref_rref(tuple(s) + vectors)[0]) == len(_ref_rref(s)[0])
+            assert ratmat.subspace_leq(vectors, s) == want
+            assert ratmat._leq(_ints(vectors), ratmat._canonical(s, d)) == want
         check()
 
     def test_reduce_mod(self):
@@ -272,6 +348,12 @@ class _Kernels:
             got = ratmat.reduce_mod(v, s)
             assert got == _ref_reduce_mod(v, s)
             assert all(type(x) is Fraction for x in got)
+            # several vectors at once share one scale
+            vectors = (v,) + data.draw(_rows(self.ENTRY, width=d))
+            ints, den = ratmat._integral(vectors)
+            residues, scale = ratmat._residues(ints, ratmat._canonical(s, d))
+            assert [tuple(Fraction(x, den * scale) for x in w) for w in residues] == [
+                _ref_reduce_mod(u, s) for u in vectors]
         check()
 
 
