@@ -222,8 +222,10 @@ def parse_fraction(text) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Rational rendered exactly: 'p' or 'p/q'. Never a float."""
+    """Rational rendered exactly: 'p' or 'p/q', never a float; BudgetError
+    past Python's limit on the digits of an int turned into a string."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value.numerator) + ("" if value.denominator == 1 else f"/{value.denominator}")
+    except ValueError as exc:
+        raise BudgetError(f"a rational too long to print: {exc}") from None

@@ -23,8 +23,11 @@ for module pairs of equal component as it does for ideals. The coprime
 leading term criterion is not of that kind: it holds only in ambient rank
 one, and only there does a coprime pair discard its class of new pairs of
 equal lcm. Input generators are pre-sorted as monic vectors, so the run is
-independent of the caller's ordering and scaling, and bases are returned
-fully interreduced, monic, and sorted, hence canonical for a fixed order.
+independent of the caller's ordering and scaling. The run keeps a minimal
+basis, one element per minimal leading term; groebner_basis and syzygy_basis
+interreduce it into the reduced basis, monic and sorted, hence canonical for
+a fixed order. Everything else needs only the leading terms and normal
+forms, which depend on the module alone, so it skips that step.
 
 The core runs on Python ints. Inputs are cleared of denominators once, and
 every basis element is kept as a primitive integer vector: coefficients of
@@ -42,9 +45,9 @@ runaway coefficient growth shows there first.
 Syzygies, images, module membership, and coordinates all come from one
 construction: a Groebner basis of the augmented module generated by
 (g_i, e_i) inside Q^r + Q^k, with the first block dominating the tag block.
-Its elements led by a tag lie in the tag block and form a reduced basis of
-the syzygy module; the first-block parts of the others form a reduced basis
-of the span of the g_i; reducing (v, 0) decides membership of v and reads
+Its elements led by a tag lie in the tag block and form a basis of the
+syzygy module; the first-block parts of the others form a basis of the
+span of the g_i; reducing (v, 0) decides membership of v and reads
 off coordinates in terms of the g_i. Relations n_j added as untagged rows
 (n_j, 0) turn the first into the preimage {c : sum c_i g_i in span n_j},
 the kernel of the map the g_i induce into Q^r / span n_j, and the second
@@ -319,7 +322,8 @@ def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> IntVec:
 
 
 def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> list[Divisor]:
-    """Reduced Groebner basis of the submodule generated by vecs."""
+    """Minimal Groebner basis of the submodule generated by vecs, sorted
+    descending by leading term; tails are left as the run made them."""
     seeds = [_divisor(_integral(v)[0], _lt(v, order)) for v in vecs if v]
     # sorted as monic vectors, so the run depends neither on the caller's
     # ordering nor on how the inputs are scaled
@@ -376,28 +380,24 @@ def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> lis
         if h:
             insert(_divisor(h, next(iter(h))), sugar)  # a remainder lists its leading term first
 
-    return _autoreduce(basis, order)
+    kept: Divisors = {}  # one element per minimal leading term
+    for d in sorted(basis, key=lambda d: order.term_key(d[0])):
+        if not any(_divides(lt, d[0]) for lt, _, _ in kept.get(d[0][0], ())):
+            kept.setdefault(d[0][0], []).append(d)
+    return [d for comp in sorted(kept) for d in reversed(kept[comp])]
 
 
 def _autoreduce(basis: list[Divisor], order: MonomialOrder) -> list[Divisor]:
-    """Minimal, interreduced, primitive, sorted descending by leading term.
-
-    Keeps one element per minimal leading term and reduces its tail by the
-    kept elements, which leaves the unique reduced basis of the submodule up
-    to scaling. An element's own leading term divides none of its tail
-    terms, nor any term the reduction brings in, since all of them are
-    smaller.
+    """The reduced basis from a minimal one, in its order: each tail
+    reduced by the whole basis, which leaves the unique reduced basis of the
+    submodule up to scaling. An element's own leading term divides none of
+    its tail terms, nor any term the reduction brings in, all being smaller.
     """
-    kept: list[Divisor] = []
-    for d in sorted(basis, key=lambda d: order.term_key(d[0])):
-        if not any(_divides(lt, d[0]) for lt, _, _ in kept):
-            kept.append(d)
-    divisors = _by_component(kept)
+    divisors = _by_component(basis)
     final = []
-    for lt, lc, tail in kept:
+    for lt, lc, tail in basis:
         rest, scale = _reduce(dict(tail), divisors, order)
         final.append(_divisor({lt: lc * scale, **rest}, lt))
-    final.reverse()
     return final
 
 
@@ -443,7 +443,8 @@ def groebner_basis(generators: Sequence[GenLike],
     else:
         if ambient_rank is None or ring is None:
             raise ValueError("empty input needs explicit ambient_rank and ring")
-    divisors = _buchberger([element_to_vec(e) for e in nonzero], ambient_rank, order)
+    divisors = _autoreduce(_buchberger([element_to_vec(e) for e in nonzero], ambient_rank, order),
+                           order)
     gens = tuple(vec_to_element(_monic(d), ambient_rank, ring) for d in divisors)
     return GroebnerBasis(ring=ring, ambient_rank=ambient_rank, order=order, generators=gens,
                          divisors=tuple(divisors))
@@ -467,13 +468,14 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
 # syzygies, membership, coordinates
 
 class _AugmentedBasis:
-    """Groebner data for the rows (g_i, e_i) and (n_j, 0), original components
-    dominating tags. The relations n_j carry no tag. By elimination the
-    elements led by a tag form the reduced basis of the preimage
-    {c : sum c_i g_i in span n_j}, stored as `kernel` with tags shifted to
-    components 0..k-1: the syzygy module when there are no relations. The
-    first-block parts of the others form `image`, the reduced basis of the
-    span of the g_i and n_j."""
+    """Minimal Groebner basis of the rows (g_i, e_i) and (n_j, 0), original
+    components dominating tags. The relations n_j carry no tag. By
+    elimination the elements led by a tag form a minimal basis of the
+    preimage {c : sum c_i g_i in span n_j}, stored as `kernel` with tags
+    shifted to components 0..k-1: the syzygy module when there are no
+    relations; syzygies() interreduces it alone, since its tails lie in the
+    tag block. The first-block parts of the others form `image`, a minimal
+    basis of the span of the g_i and n_j."""
 
     def __init__(self, gens: list[FreeModuleElement], order: MonomialOrder,
                  relations: Sequence[FreeModuleElement] = ()):
@@ -503,7 +505,8 @@ class _AugmentedBasis:
                 self.image.append(_divisor({(comp, exps): lc, **first}, (comp, exps)))
 
     def syzygies(self) -> list[FreeModuleElement]:
-        return [vec_to_element(_monic(d), self.count, self.ring) for d in self.kernel]
+        return [vec_to_element(_monic(d), self.count, self.ring)
+                for d in _autoreduce(self.kernel, self.order)]
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
@@ -585,7 +588,7 @@ def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
 
 
 def _leading_gap(kernel: list[Divisor], image: list[Divisor], order: MonomialOrder) -> int:
-    """dim over Q of K / I, given reduced Groebner bases of I inside K, as
+    """dim over Q of K / I, given minimal Groebner bases of I inside K, as
     the number of terms in LT(K) but not in LT(I).
 
     First every image element must reduce to zero modulo the kernel, or

@@ -105,8 +105,8 @@ class NilpotentOperator:
 class WeightFiltration:
     """Pieces W_lowest .. W_highest; below the range is zero, above is full.
 
-    Each piece must be a canonical subspace, as ratmat.span returns it:
-    otherwise ValueError names the piece."""
+    There must be highest - lowest + 1 pieces, and each must be a canonical
+    subspace, as ratmat.span returns it: otherwise ValueError."""
 
     operator: NilpotentOperator
     lowest: int
@@ -117,6 +117,9 @@ class WeightFiltration:
 
     def __post_init__(self):
         n = self.operator.dimension
+        if len(self.pieces) != self.highest - self.lowest + 1:
+            raise ValueError(f"W_{self.lowest} .. W_{self.highest} needs "
+                             f"{self.highest - self.lowest + 1} pieces, found {len(self.pieces)}")
         forms = []
         for i, piece in enumerate(self.pieces):
             try:

@@ -38,7 +38,7 @@ from .groebner import (
     _AugmentedBasis,
     _leading_gap,
 )
-from .polyring import Polynomial, PolyMatrix, to_string
+from .polyring import Polynomial, PolyMatrix, _cleared_product, _cleared_rows, to_string
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,12 @@ def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
         raise FactorizationError("matrix entries and potential live in different rings")
     expected = PolyMatrix.scalar(f, r)
     for name, prod in (("A*B", a @ b), ("B*A", b @ a)):
-        for i in range(r):
-            for j in range(r):
-                got = prod.entry(i, j)
-                want = expected.entry(i, j)
-                if got != want:
-                    raise FactorizationError(
-                        f"product {name} mismatch at entry ({i + 1},{j + 1}): "
-                        f"expected {to_string(want)}, found {to_string(got)}")
+        for idx, (got, want) in enumerate(zip(prod.entries, expected.entries)):
+            if got != want:
+                i, j = divmod(idx, r)
+                raise FactorizationError(
+                    f"product {name} mismatch at entry ({i + 1},{j + 1}): "
+                    f"expected {to_string(want)}, found {to_string(got)}")
     return candidate
 
 
@@ -150,8 +148,11 @@ class TwoPeriodicComplex:
             raise ValueError("odd-to-even differential has wrong shape")
 
     def is_complex(self) -> bool:
-        return ((self.d_odd_to_even @ self.d_even_to_odd).is_zero()
-                and (self.d_even_to_odd @ self.d_odd_to_even).is_zero())
+        """Both composites vanish, tested on the integer products of the
+        differentials cleared of denominators once, building no Polynomial."""
+        eo, oe = (_cleared_rows(d)[1] for d in (self.d_even_to_odd, self.d_odd_to_even))
+        return not any(any(terms.values()) for left, right in ((oe, eo), (eo, oe))
+                       for acc in _cleared_product(left, right) for terms in acc.values())
 
 
 def _kron(m: PolyMatrix, s: int, transpose: bool = False):
@@ -240,7 +241,7 @@ def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
     """Exact Q dimensions (ker d_eo / im d_oe, ker d_oe / im d_eo) of a two
     periodic complex, or of the complex tensored with a module N.
 
-    One tag-augmented Groebner basis per differential holds reduced bases of
+    One tag-augmented Groebner basis per differential holds minimal bases of
     both its kernel and its image, and each dimension is the count of
     leading terms of a kernel outside the other image, after an exact check
     that the image lies in the kernel. With N = Q[x]^s / span n_j, a map m

@@ -408,6 +408,9 @@ def _potential_of(item: PairingInput) -> Polynomial:
 # largest Gram matrix accepted by is_positive_semidefinite: exact LDL^T costs
 # about the cube of the size, more as the entries grow
 MAX_GRAM_SIZE = 128
+# and its largest entry in bits: pivots and kernel coordinates are ratios of
+# minors, under MAX_GRAM_SIZE * (MAX_GRAM_ENTRY_BITS + 4) bits by Hadamard
+MAX_GRAM_ENTRY_BITS = 64
 
 
 def check_gram_size(n: int) -> None:
@@ -428,6 +431,8 @@ def is_positive_semidefinite(g: GramMatrix) -> PsdReport:
     n = g.size
     check_gram_size(max([n, len(g.entries)] + [len(row) for row in g.entries]))
     m = [[Fraction(v) for v in row] for row in g.entries]
+    if any(abs(v.numerator).bit_length() > MAX_GRAM_ENTRY_BITS for row in m for v in row):
+        raise BudgetError(f"a gram entry exceeds MAX_GRAM_ENTRY_BITS = {MAX_GRAM_ENTRY_BITS}")
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:

@@ -584,15 +584,7 @@ class PolyMatrix:
         db, right = _cleared_rows(other)
         den = da * db
         out = []
-        for row in left:
-            acc: dict[int, dict[Monomial, int]] = {}
-            for k, a in row:
-                for j, b in right[k]:
-                    terms = acc.setdefault(j, {})
-                    for e1, c1 in a:
-                        for e2, c2 in b:
-                            e = tuple(map(add, e1, e2))
-                            terms[e] = terms.get(e, 0) + c1 * c2
+        for acc in _cleared_product(left, right):
             for j in range(other.cols):
                 terms = acc.get(j, {})
                 out.append(Polynomial._trusted(
@@ -659,6 +651,20 @@ def _cleared_rows(m: PolyMatrix) -> tuple[int, list[list[tuple[int, list[tuple[M
     return d, [[(j, [(e, c.numerator * (d // c.denominator)) for e, c in p._terms.items()])
                 for j, p in enumerate(m.row(i)) if p]
                for i in range(m.rows)]
+
+
+def _cleared_product(left, right):
+    """Rows of the product of two _cleared_rows forms: {column: {exps: int}}, zeros kept."""
+    for row in left:
+        acc: dict[int, dict[Monomial, int]] = {}
+        for k, a in row:
+            for j, b in right[k]:
+                terms = acc.setdefault(j, {})
+                for e1, c1 in a:
+                    for e2, c2 in b:
+                        e = tuple(map(add, e1, e2))
+                        terms[e] = terms.get(e, 0) + c1 * c2
+        yield acc
 
 
 def hessian_determinant(f: Polynomial) -> Polynomial:

@@ -4,12 +4,14 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mfres import cli
+from mfres import BudgetError, cli
 from mfres.cli import builtin_corpus_dir, main
+from mfres.corpus import format_fraction
 
 CORPUS = builtin_corpus_dir()
 DATA = Path(__file__).parent / "data"
@@ -199,6 +201,32 @@ class TestGramAndPsd:
         assert env["error"] == {
             "type": "BudgetError",
             "message": "gram matrix of size 129 exceeds MAX_GRAM_SIZE = 128"}
+
+    # 12 x 12 reports of 1,000 and 4,000 digit entries ran 2.7 s and 40 s in
+    # the LDL^T, then failed to print a kernel coordinate past Python's limit
+    # on the digits of an int turned into a string
+    @pytest.mark.parametrize("digits", [1000, 4000])
+    def test_psd_entry_budget(self, capsys, tmp_path, digits):
+        big = 10 ** (digits - 1)
+        report = tmp_path / "long.json"
+        report.write_text(json.dumps({
+            "pairing": "euler", "labels": [f"x{i}" for i in range(12)],
+            "entries": [[big + i * j for j in range(12)] for i in range(12)]}))
+        code, env = run_json(capsys, "psd", str(report))
+        assert code == 1
+        assert env["error"] == {
+            "type": "BudgetError",
+            "message": "a gram entry exceeds MAX_GRAM_ENTRY_BITS = 64"}
+
+    def test_unprintable_rational_is_a_budget_error(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert format_fraction(Fraction(-10 ** 4299, 3)) == "-1" + "0" * 4299 + "/3"
+            with pytest.raises(BudgetError, match="too long to print"):
+                format_fraction(Fraction(1, 10 ** 4300))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestWeightFiltration:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfres.groebner
+import mfres.mf
 from mfres import (
     BudgetError,
     ContainmentError,
@@ -15,7 +16,10 @@ from mfres import (
     LEX,
     FreeModuleElement,
     InfiniteQuotientError,
+    MatrixFactorization,
     Polynomial,
+    cokernel_presentation,
+    dual,
     express_in_terms,
     get_order,
     groebner_basis,
@@ -26,12 +30,14 @@ from mfres import (
     normal_form,
     origin_support_check,
     quotient_dimension,
+    shift,
     subquotient_dimension,
     syzygy_basis,
     to_string,
     tor_lengths,
 )
-from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, poly
+from mfres.groebner import _AugmentedBasis, _autoreduce
+from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly
 
 
 class TestGroebnerBasis:
@@ -482,11 +488,76 @@ class TestAgainstPresentationRoute:
                 == _outcome(_presentation_route, kernel, image, order))
 
 
+@st.composite
+def _augmented_case(draw):
+    """Generators of a submodule of Q[x, y]^rank and up to two relations."""
+    rank = draw(st.sampled_from([1, 2]))
+    polys = _polynomials(XY, 3 - rank, 3)
+    gens, relations = ([FreeModuleElement(tuple(draw(polys) for _ in range(rank)))
+                        for _ in range(draw(st.integers(lo, hi)))] for lo, hi in ((1, 3), (0, 2)))
+    return gens, relations
+
+
+@st.composite
+def _factorization_pair(draw):
+    """A rank 2 factorization of x^(a+d) + y^(b+c) under a unimodular change
+    of basis with polynomial entries, and its shift, its dual or itself."""
+    a, b, c, d = (draw(st.integers(1, 2)) for _ in range(4))
+    u, v = (to_string(draw(_polynomials(XY, 1, 2))) for _ in range(2))
+    p, p_inv = matrix([["1", u], ["0", "1"]]), matrix([["1", f"-({u})"], ["0", "1"]])
+    q, q_inv = matrix([["1", "0"], [v, "1"]]), matrix([["1", "0"], [f"-({v})", "1"]])
+    a_mat = matrix([[f"x^{a}", f"y^{b}"], [f"-y^{c}", f"x^{d}"]])
+    b_mat = matrix([[f"x^{d}", f"-y^{b}"], [f"y^{c}", f"x^{a}"]])
+    x = MatrixFactorization(poly(f"x^{a + d} + y^{b + c}"), p @ a_mat @ q, q_inv @ b_mat @ p_inv)
+    return x, draw(st.sampled_from([x, shift(x), dual(x)]))
+
+
+def _homology_outcome(x, y, order):
+    try:
+        return (homology_dimensions(hom_complex(x, y), order),
+                tor_lengths(x, cokernel_presentation(y), order))
+    except (BudgetError, InfiniteQuotientError) as exc:
+        return type(exc)
+
+
+class TestMinimalBases:
+    """Buchberger returns minimal bases and only groebner_basis and
+    syzygies interreduce. Normal forms and leading terms depend only on the
+    module, so the answers are those of fully interreduced bases."""
+
+    @given(_augmented_case(), st.sampled_from([DEGREVLEX, LEX]))
+    @settings(max_examples=60, deadline=None)
+    def test_syzygies_are_the_tag_led_part_of_the_reduced_basis(self, case, order):
+        gens, relations = case
+        rank, count = gens[0].rank, len(gens)
+        zero, one = Polynomial.zero(XY), Polynomial.one(XY)
+        augmented = [FreeModuleElement(n.components + (zero,) * count) for n in relations]
+        augmented += [FreeModuleElement(g.components + tuple(one if t == i else zero
+                                                             for t in range(count)))
+                      for i, g in enumerate(gens)]
+        gb = groebner_basis(augmented, order)
+        want = [FreeModuleElement(g.components[rank:])
+                for g, (comp, _) in zip(gb.generators, gb.leading_terms()) if comp >= rank]
+        assert _AugmentedBasis(gens, order, relations).syzygies() == want
+
+    @given(_factorization_pair(), st.sampled_from([DEGREVLEX, LEX]))
+    @settings(max_examples=25, deadline=None)
+    def test_homology_equals_that_of_reduced_kernels_and_images(self, pair, order):
+        # Hom homology has no relations; Tor against coker(A') has f and A'
+        x, y = pair
+        want = _homology_outcome(x, y, order)
+        gap = mfres.mf._leading_gap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mfres.mf, "_leading_gap", lambda kernel, image, o: gap(
+                _autoreduce(kernel, o), _autoreduce(image, o), o))
+            assert _homology_outcome(x, y, order) == want
+
+
 class TestWorkCounts:
     """_reduce calls made by fixed inputs: one per S-pair reduced, per element
     interreduced and per membership test; and _buchberger runs. They do not
-    depend on the machine, so they pin the work the pair criteria and the
-    shared kernel-and-image route save."""
+    depend on the machine, so they pin the work the pair criteria, the
+    shared kernel-and-image route and the minimal bases save."""
 
     @pytest.fixture
     def reduce_calls(self, monkeypatch):
@@ -510,17 +581,23 @@ class TestWorkCounts:
         d = hom_complex(left, right).d_even_to_odd
         reduce_calls.clear()
         syzygy_basis([FreeModuleElement(d.column(j)) for j in range(d.cols)])
-        assert len(reduce_calls) == 135
+        # interreducing the whole augmented basis, not only the syzygies, made 135
+        assert len(reduce_calls) == 99
 
-    def test_rank_four_koszul_homology(self, reduce_calls):
+    def test_rank_four_koszul_homology(self, reduce_calls, monkeypatch):
         # two augmented Buchberger runs and one containment check per image
-        # basis element; the syzygy-plus-presentation route made 679 calls
+        # basis element, with nothing interreduced; the syzygy-plus-presentation
+        # route made 679 calls, and interreducing both augmented bases 338
         left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
         right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
         c = hom_complex(left, right)
         reduce_calls.clear()
+        autoreduced, original = [], mfres.groebner._autoreduce
+        monkeypatch.setattr(mfres.groebner, "_autoreduce",
+                            lambda *args: autoreduced.append(None) or original(*args))
         assert homology_dimensions(c) == (4, 4)
-        assert len(reduce_calls) == 338
+        assert len(reduce_calls) == 198
+        assert autoreduced == []
 
     @pytest.fixture
     def buchberger_runs(self, monkeypatch):

@@ -133,6 +133,15 @@ class TestAxioms:
                                 pieces=wf.pieces)
         assert verify_weight_axioms(twin) == hodge.WeightAxiomReport(True, True)
 
+    # too few pieces once raised IndexError in verify_weight_axioms, and a
+    # surplus piece was ignored
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_piece_count_refused(self, count):
+        op = NilpotentOperator.from_rows([[0, 1], [0, 0]], center=0)
+        full = ratmat.identity(2)
+        with pytest.raises(ValueError, match=f"W_-1 .. W_1 needs 3 pieces, found {count}"):
+            WeightFiltration(operator=op, lowest=-1, highest=1, pieces=(full,) * count)
+
     @pytest.mark.parametrize("piece", [
         ((0, 1), (1, 0)),                # pivots out of order
         ((2, 0),),                       # no leading 1

@@ -106,6 +106,24 @@ class TestHomologyChecks:
         with pytest.raises(ContainmentError):
             homology_dimensions(c)
 
+    # is_complex tests both composites, with rational entries and sums that
+    # cancel; each pair has m n = 0 and n m != 0, in either order
+    @pytest.mark.parametrize("m, n", [
+        ([["1/2*x", "0"], ["0", "0"]], [["0", "0"], ["y", "0"]]),
+        ([["1", "1"], ["0", "0"]], [["1/3", "0"], ["-1/3", "0"]]),
+    ])
+    def test_one_nonzero_composite_is_not_a_complex(self, m, n):
+        m, n = matrix(m), matrix(n)
+        assert (m @ n).is_zero() and not (n @ m).is_zero()
+        assert not TwoPeriodicComplex(2, 2, m, n).is_complex()
+        assert not TwoPeriodicComplex(2, 2, n, m).is_complex()
+
+    def test_composites_that_cancel_are_a_complex(self):
+        # m = [[u v, -u^2], [v^2, -u v]] with u = x/2, v = y/3 squares to zero
+        m = matrix([["1/6*x*y", "-1/4*x^2"], ["1/9*y^2", "-1/6*x*y"]])
+        assert (m @ m).is_zero()
+        assert TwoPeriodicComplex(2, 2, m, m).is_complex()
+
     def test_rank_zero_complex_has_no_homology(self):
         empty = PolyMatrix(0, 0, ())
         assert homology_dimensions(TwoPeriodicComplex(0, 0, empty, empty)) == (0, 0)
@@ -156,6 +174,24 @@ class TestHomDifferentials:
         right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
         assert (left.rank, right.rank) == (4, 4)
         self.check(left, right, seed=4)
+
+    def test_corrupted_entry_is_caught(self, cubic_mf, monkeypatch):
+        # one entry of the first Kronecker block off by 1/3: A and B are
+        # valid, so only the d o d = 0 check sees it
+        kron = mfres.mf._kron
+        blocks = []
+
+        def corrupt(m, s, transpose=False):
+            entries = list(kron(m, s, transpose))
+            if not blocks:
+                row, col, p = entries[0]
+                entries[0] = (row, col, p + poly("1/3"))
+            blocks.append(None)
+            return iter(entries)
+
+        monkeypatch.setattr(mfres.mf, "_kron", corrupt)
+        with pytest.raises(InternalCheckError):
+            hom_complex(cubic_mf, cubic_mf)
 
     def test_composite_check_is_live(self, node_mf, monkeypatch):
         # A B = x^2 != x*y: only the d o d = 0 check can catch it now

@@ -473,6 +473,15 @@ class TestPsd:
         with pytest.raises(BudgetError, match="MAX_GRAM_SIZE = 128"):
             is_positive_semidefinite(over)
 
+    def test_entry_budget(self):
+        from mfres.pairings import MAX_GRAM_ENTRY_BITS
+        top = 2 ** MAX_GRAM_ENTRY_BITS - 1
+        assert is_positive_semidefinite(GramMatrix(("a",), "euler", ((-top,),))).negative_pivot == -top
+        # checked on every entry before the symmetry check and the LDL^T
+        over = GramMatrix(("a", "b"), "euler", ((1, 0), (top + 1, 1)))
+        with pytest.raises(BudgetError, match="MAX_GRAM_ENTRY_BITS = 64"):
+            is_positive_semidefinite(over)
+
 
 class TestCombinations:
     def test_pairing_of_combination(self):
