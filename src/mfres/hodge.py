@@ -27,17 +27,17 @@ primitive_subspace lifts the primitive part ker(N^(l+1) : Gr_(m+l) ->
 Gr_(m-l-2)) back to honest vectors, one representative per class.
 
 The powers N^0, ..., N^e are computed once, when a NilpotentOperator is
-built (which is also its nilpotency check), and every function here reads
-them from the operator. The work runs on the integer forms of ratmat's core:
-the operator converts its powers to int rows once, in NilpotentOperator.
-int_powers, and a WeightFiltration converts its pieces once, when it is
-built, to the Echelons in WeightFiltration.int_pieces (refusing a piece
-that is not a canonical subspace). weight_filtration builds Fractions only
-for the pieces it returns, and primitive_subspace only for its result. An
-operator on a space of dimension above
-MAX_OPERATOR_DIMENSION is refused with BudgetError before any product is made,
-by check_operator_dimension, which a reader of matrix files can call before
-it converts any entry.
+built (which is also its nilpotency check), as products of int rows: the
+operator scales its matrix to ints once, and NilpotentOperator.int_powers
+holds the powers of that int matrix. Every function here reads them from the
+operator and runs on ratmat's integer forms: a WeightFiltration converts
+its pieces once, when it is built, to the Echelons in
+WeightFiltration.int_pieces (refusing a piece that is not a canonical
+subspace). weight_filtration builds Fractions only for the pieces it
+returns, and primitive_subspace only for its result. An operator on a space
+of dimension above MAX_OPERATOR_DIMENSION is refused with BudgetError before
+any product is made, by check_operator_dimension, which a reader of matrix
+files can call before it converts any entry.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ class NilpotentOperator:
     matrix: ratmat.Matrix
     center: int
 
-    # N^0, N^1, ..., N^e with N^e = 0, so N^k is powers[min(k, e)]
-    powers: tuple[ratmat.Matrix, ...] = field(init=False, repr=False, compare=False)
-    # each power times the lcm of its denominators, as int rows
+    # N^0, N^1, ..., N^e with N^e = 0 as int rows, N^k times the k-th power
+    # of the lcm of the matrix's denominators; N^k is int_powers[min(k, e)]
     int_powers: tuple[ratmat.IntRows, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,14 +76,14 @@ class NilpotentOperator:
         if any(len(row) != n for row in self.matrix):
             raise MfresError("operator matrix must be square")
         check_operator_dimension(n)
-        powers = [ratmat.identity(n)]
+        # ratmat.map(columns, rows) is the product rows @ matrix
+        columns = list(zip(*ratmat.integral(self.matrix)[0]))
+        powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
         while any(map(any, powers[-1])):
             if len(powers) > n:
                 raise MfresError("operator is not nilpotent")
-            powers.append(ratmat.mat_mul(powers[-1], self.matrix))
-        object.__setattr__(self, "powers", tuple(powers))
-        object.__setattr__(self, "int_powers",
-                           tuple(ratmat._integral(p)[0] for p in powers))
+            powers.append(ratmat.map(columns, powers[-1]))
+        object.__setattr__(self, "int_powers", tuple(powers))
 
     @classmethod
     def from_rows(cls, rows, center: int) -> NilpotentOperator:
@@ -98,7 +97,7 @@ class NilpotentOperator:
     @property
     def nilpotency_index(self) -> int:
         """Smallest e with N^e = 0."""
-        return len(self.powers) - 1
+        return len(self.int_powers) - 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class WeightFiltration:
     """Pieces W_lowest .. W_highest; below the range is zero, above is full.
 
     There must be highest - lowest + 1 pieces, and each must be a canonical
-    subspace, as ratmat.span returns it: otherwise ValueError."""
+    subspace, as ratmat.fractions returns it: otherwise ValueError."""
 
     operator: NilpotentOperator
     lowest: int
@@ -123,7 +122,7 @@ class WeightFiltration:
         forms = []
         for i, piece in enumerate(self.pieces):
             try:
-                forms.append(ratmat._canonical(piece, n))
+                forms.append(ratmat.canonical(piece, n))
             except ValueError as exc:
                 raise ValueError(f"piece {i} (W_{self.lowest + i}) is not canonical: "
                                  f"{exc}") from None
@@ -143,7 +142,7 @@ class WeightFiltration:
         return self.int_pieces[min(k, self.highest) - self.lowest]
 
     def graded_dimension(self, k: int) -> int:
-        return ratmat.subspace_dim(self.piece(k)) - ratmat.subspace_dim(self.piece(k - 1))
+        return len(self.piece(k)) - len(self.piece(k - 1))
 
 
 def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
@@ -153,8 +152,8 @@ def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
     e = op.nilpotency_index
     # ker N^t for 0 < t < e and im N^t for t < e; ker N^0 = 0, ker N^e = Q^n,
     # im N^0 = Q^n and im N^e = 0 are never intersected
-    kernels = [None] + [ratmat._kernel(power, n) for power in op.int_powers[1:e]]
-    images = [ratmat._image(power) for power in op.int_powers[:e]]
+    kernels = [None] + [ratmat.kernel(power, n) for power in op.int_powers[1:e]]
+    images = [ratmat.image(power) for power in op.int_powers[:e]]
 
     pieces = []
     for l in range(-e, e + 1):
@@ -164,10 +163,10 @@ def weight_filtration(op: NilpotentOperator) -> WeightFiltration:
             if t >= e:
                 rows += images[j].rows
                 break
-            term = kernels[t] if j == 0 else ratmat._intersect(kernels[t].rows,
-                                                                images[j].rows, n)
+            term = kernels[t] if j == 0 else ratmat.intersect(kernels[t].rows,
+                                                               images[j].rows, n)
             rows += term.rows
-        pieces.append(ratmat._fractions(ratmat._echelon(rows)))
+        pieces.append(ratmat.fractions(ratmat.echelon(rows)))
 
     wf = WeightFiltration(operator=op, lowest=m - e, highest=m + e,
                           pieces=tuple(pieces))
@@ -191,12 +190,12 @@ def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
     e = op.nilpotency_index
     piece = wf.int_piece
 
-    shift_ok = ratmat.subspace_dim(wf.piece(wf.highest)) == n
+    shift_ok = len(wf.piece(wf.highest)) == n
     for k in range(wf.lowest, wf.highest + 1):
-        if not ratmat._leq(piece(k - 1).rows, piece(k)):
+        if not ratmat.leq(piece(k - 1).rows, piece(k)):
             shift_ok = False
-        moved = ratmat._map(op.int_powers[1], piece(k).rows)
-        if not ratmat._leq(moved, piece(k - 2)):
+        moved = ratmat.map(op.int_powers[1], piece(k).rows)
+        if not ratmat.leq(moved, piece(k - 2)):
             shift_ok = False
 
     span_up = max(wf.highest - m, m - wf.lowest, 0)
@@ -207,9 +206,9 @@ def verify_weight_axioms(wf: WeightFiltration) -> WeightAxiomReport:
             continue
         # injectivity of N^l on Gr_(m+l): anything in W_(m+l) that lands in
         # W_(m-l-1) must already lie in W_(m+l-1)
-        pulled = ratmat._preimage(op.int_powers[min(l, e)], piece(m - l - 1), n)
-        inside = ratmat._intersect(pulled.rows, piece(m + l).rows, n)
-        if not ratmat._leq(inside.rows, piece(m + l - 1)):
+        pulled = ratmat.preimage(op.int_powers[min(l, e)], piece(m - l - 1), n)
+        inside = ratmat.intersect(pulled.rows, piece(m + l).rows, n)
+        if not ratmat.leq(inside.rows, piece(m + l - 1)):
             iso_ok = False
     return WeightAxiomReport(shift_ok=shift_ok, iso_ok=iso_ok)
 
@@ -230,7 +229,7 @@ def primitive_subspace(wf: WeightFiltration, l: int) -> tuple[ratmat.Vector, ...
     n = op.dimension
     m = op.center
     power = op.int_powers[min(l + 1, op.nilpotency_index)]
-    pulled = ratmat._preimage(power, wf.int_piece(m - l - 3), n)
-    inside = ratmat._intersect(pulled.rows, wf.int_piece(m + l).rows, n)
-    residues = ratmat._residues(inside.rows, wf.int_piece(m + l - 1))[0]
-    return ratmat._fractions(ratmat._echelon(residues))
+    pulled = ratmat.preimage(power, wf.int_piece(m - l - 3), n)
+    inside = ratmat.intersect(pulled.rows, wf.int_piece(m + l).rows, n)
+    residues = ratmat.residues(inside.rows, wf.int_piece(m + l - 1))[0]
+    return ratmat.fractions(ratmat.echelon(residues))

@@ -34,8 +34,9 @@ over R: the Euler pairing's number by a second route, which reads the
 homology of the resolution mapped into coker(A') and never builds the Hom
 complex. Both take their homology from mf.periodic_homology. Gram matrices
 of either pairing over a list of inputs are assembled entry by entry and
-certified positive semidefinite, when they are, by an exact fraction free
-LDL^T with largest diagonal pivoting.
+certified positive semidefinite, when they are, by a symmetric Bareiss
+elimination on ints with largest diagonal pivoting; the kernel basis it
+reports is then checked against the Gram matrix.
 """
 
 from __future__ import annotations
@@ -405,8 +406,8 @@ def _potential_of(item: PairingInput) -> Polynomial:
     return item.potential
 
 
-# largest Gram matrix accepted by is_positive_semidefinite: exact LDL^T costs
-# about the cube of the size, more as the entries grow
+# largest Gram matrix accepted by is_positive_semidefinite: the elimination
+# and the kernel cost about the cube of the size, more as the entries grow
 MAX_GRAM_SIZE = 128
 # and its largest entry in bits: pivots and kernel coordinates are ratios of
 # minors, under MAX_GRAM_SIZE * (MAX_GRAM_ENTRY_BITS + 4) bits by Hadamard
@@ -427,7 +428,17 @@ class PsdReport:
 
 
 def is_positive_semidefinite(g: GramMatrix) -> PsdReport:
-    """Exact LDL^T with largest diagonal pivoting; kernel basis when PSD."""
+    """Symmetric Bareiss elimination with largest diagonal pivoting, the
+    first largest on a tie; kernel basis when PSD.
+
+    The Gram matrix is scaled to ints by den. After each pivot the remaining
+    block is the Schur complement times previous / den, previous the last
+    pivot and a positive leading principal minor, so the signs and the order
+    of its entries are those of the Schur complement of the Gram matrix: the
+    first pivot that is not positive gives the verdict, and a negative one is
+    the Schur complement entry pivot / (previous * den). A PSD verdict is
+    checked: G v = 0 for each of the n - rank kernel vectors, or
+    InternalCheckError."""
     n = g.size
     check_gram_size(max([n, len(g.entries)] + [len(row) for row in g.entries]))
     m = [[Fraction(v) for v in row] for row in g.entries]
@@ -437,31 +448,34 @@ def is_positive_semidefinite(g: GramMatrix) -> PsdReport:
         for j in range(n):
             if m[i][j] != m[j][i]:
                 raise MfresError("gram matrix is not symmetric")
-    work = [row[:] for row in m]
+    ints, den = ratmat.integral(m)
+    work = [row[:] for row in ints]
+    previous, rank = 1, 0
     for k in range(n):
-        pivot_index = k
-        for i in range(k, n):
-            if work[i][i] > work[pivot_index][pivot_index]:
-                pivot_index = i
-        d = work[pivot_index][pivot_index]
-        if d < 0:
-            return PsdReport(psd=False, kernel_basis=(), negative_pivot=d)
-        if d == 0:
+        pivot_index = max(range(k, n), key=lambda i: work[i][i])
+        p = work[pivot_index][pivot_index]
+        if p < 0:
+            return PsdReport(psd=False, kernel_basis=(),
+                             negative_pivot=Fraction(p, previous * den))
+        if p == 0:
             # all remaining diagonals are <= 0; PSD exactly when the block is zero
-            block_zero = all(work[i][j] == 0
-                             for i in range(k, n) for j in range(k, n))
-            if block_zero:
-                break
-            return PsdReport(psd=False, kernel_basis=(), negative_pivot=None)
+            if any(work[i][j] for i in range(k, n) for j in range(k, n)):
+                return PsdReport(psd=False, kernel_basis=(), negative_pivot=None)
+            break
         if pivot_index != k:
             work[k], work[pivot_index] = work[pivot_index], work[k]
             for row in work:
                 row[k], row[pivot_index] = row[pivot_index], row[k]
-        for i in range(k + 1, n):
-            factor = work[i][k] / d
-            for j in range(k + 1, n):
-                work[i][j] -= factor * work[k][j]
+        top = work[k]
+        for row in work[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // previous
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = p
+        rank += 1
     kernel = ratmat.nullspace(tuple(tuple(row) for row in m), n)
+    if len(kernel) != n - rank or any(map(any, ratmat.map(ints, ratmat.integral(kernel)[0]))):
+        raise InternalCheckError(f"gram kernel basis is not {n - rank} vectors with G v = 0")
     return PsdReport(psd=True, kernel_basis=tuple(kernel))
 
 

@@ -1,39 +1,35 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on Python ints.
 
-Matrices are tuples of row tuples of Fractions. Subspaces of Q^d are
-represented canonically as the reduced row echelon form of a spanning set, so
-two subspaces are equal exactly when their representations are equal. No
-floating point anywhere.
+A matrix becomes int rows by integral, which scales it by the lcm of its
+denominators. A subspace of Q^d is kept as an Echelon, what echelon returns:
+the echelon rows as primitive int lists, each zero at the other rows'
+pivots, and their pivot columns. The Echelon of a subspace is unique, so two
+subspaces are equal exactly when their Echelons are. Dividing each row by
+its pivot entry gives the RREF (fractions), the canonical Fraction form of
+the subspace, and canonical reads that form back, checking its shape as it
+goes (ValueError on a subspace that is not canonical). No floating point
+anywhere.
 
-Inside, everything runs on Python ints. A matrix becomes int rows by
-_integral, which scales it by the lcm of its denominators. A subspace's
-working form, an Echelon, is what _echelon returns: the echelon rows as
-primitive int lists, each zero at the other rows' pivots, and their pivot
-columns. Dividing each row by its pivot entry gives the RREF (_fractions),
-and _canonical reads a canonical Fraction subspace back, checking its shape
-as it goes. The core routines take and return Echelons, except that an
-argument that only needs to span something, and _map's result, are plain
-int rows:
+The subspace routines take and return Echelons, except that an argument
+that only needs to span something, and map's result, are plain int rows:
 
-    _kernel, _image, _map, _preimage, _intersect, _leq, _residues
+    kernel, image, map, preimage, intersect, leq, residues
 
-_echelon eliminates by integer cross-multiplication and divides each changed
-row by its content; each kernel costs one elimination (see _kernel).
-_residues reduces several vectors modulo a subspace over one common scale,
-the lcm of its pivot entries: _preimage takes a kernel of the residues, and
+echelon eliminates by integer cross-multiplication and divides each changed
+row by its content; each kernel costs one elimination (see kernel).
+residues reduces several vectors modulo a subspace over one common scale,
+the lcm of its pivot entries: preimage takes a kernel of the residues, and
 scaling each one by its own factor would change that kernel.
 
-The public functions take and return Fractions (inputs may mix in ints) and
-are conversions around this core; the ones that read a subspace's pivots
-(subspace_leq, preimage_in, reduce_mod) raise ValueError on a subspace that
-is not canonical. hodge keeps its operators and filtrations
-in the integer form and calls the core directly. The RREF of a row space is
+rref, nullspace and mat_mul take and return Fractions (inputs may mix in
+ints) and are conversions around the same core. The RREF of a row space is
 unique and each other result is an exact value, so the outputs are the same
 as those of plain Fraction Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
+import builtins
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -41,6 +37,7 @@ from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+Subspace = Matrix  # rows form an RREF basis; () is the zero subspace
 IntRows = list[list[int]]
 
 
@@ -51,11 +48,7 @@ class Echelon(NamedTuple):
     pivots: list[int]
 
 
-def identity(d: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
-
-
-def _integral(rows: Sequence[Sequence]) -> tuple[IntRows, int]:
+def integral(rows: Sequence[Sequence]) -> tuple[IntRows, int]:
     """The rows times the lcm of all their denominators, as ints, and that lcm."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
@@ -68,13 +61,13 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _fractions(form: Echelon) -> Matrix:
+def fractions(form: Echelon) -> Subspace:
     """The RREF: each echelon row divided by its pivot entry."""
     rows, pivots = form
     return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots))
 
 
-def _canonical(s: Sequence[Sequence], dim: int) -> Echelon:
+def canonical(s: Sequence[Sequence], dim: int) -> Echelon:
     """The Echelon of a canonical subspace, read in one pass with no
     elimination. ValueError unless every row has length dim, starts with a
     leading 1, at a pivot right of the previous row's, and every other row
@@ -89,20 +82,18 @@ def _canonical(s: Sequence[Sequence], dim: int) -> Echelon:
         pivots.append(c)
     if any(row[c] for i, row in enumerate(s) for c in pivots[i + 1:]):
         raise ValueError("a row is nonzero at another row's pivot")
-    return Echelon([_primitive(row) for row in _integral(s)[0]], pivots)
+    return Echelon([_primitive(row) for row in integral(s)[0]], pivots)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    ia, da = _integral(a)
-    ib, db = _integral(b)
-    den = da * db
-    cols = list(zip(*ib))
-    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols) for row in ia)
+    ia, da = integral(a)
+    ib, db = integral(b)
+    return tuple(tuple(Fraction(x, da * db) for x in row) for row in map(list(zip(*ib)), ia))
 
 
-def _echelon(rows: IntRows) -> Echelon:
+def echelon(rows: IntRows) -> Echelon:
     """Integer Gauss-Jordan: the nonzero rows, each zero at the other rows'
     pivots and divided by its content, and the pivot columns."""
     work = [_primitive(row) for row in rows]
@@ -145,44 +136,44 @@ def _free_basis(form: Echelon, ncols: int) -> tuple[IntRows, list[int]]:
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
-    form = _echelon(_integral(rows)[0])
-    return _fractions(form), tuple(form.pivots)
+    form = echelon(integral(rows)[0])
+    return fractions(form), tuple(form.pivots)
 
 
 def nullspace(a: Matrix, ncols: int) -> Matrix:
     """Basis of {v : a v = 0}, one vector per free column of the RREF of a:
     1 there, 0 at the other free columns."""
-    basis, free = _free_basis(_echelon(_integral(a)[0]), ncols)
+    basis, free = _free_basis(echelon(integral(a)[0]), ncols)
     return tuple(tuple(Fraction(x, v[fc]) for x in v) for v, fc in zip(basis, free))
 
 
 # ---------------------------------------------------------------------------
-# subspaces: the integer core
+# subspaces
 
-def _kernel(matrix: IntRows, dim: int) -> Echelon:
+def kernel(matrix: IntRows, dim: int) -> Echelon:
     """{v : matrix @ v = 0}, from one elimination.
 
     The nullspace of the matrix with its columns reversed, read back in the
     original order, has each vector nonzero at its own free column, 0 at the
     other free columns, and its other nonzeros at pivot columns to the right
     of its own: in reverse order, these vectors are already an Echelon."""
-    basis, free = _free_basis(_echelon([row[::-1] for row in matrix]), dim)
+    basis, free = _free_basis(echelon([row[::-1] for row in matrix]), dim)
     return Echelon([v[::-1] for v in reversed(basis)], [dim - 1 - c for c in reversed(free)])
 
 
-def _image(matrix: IntRows) -> Echelon:
+def image(matrix: IntRows) -> Echelon:
     """Column space of the matrix."""
-    return _echelon([list(col) for col in zip(*matrix)])
+    return echelon([list(col) for col in zip(*matrix)])
 
 
-def _map(matrix: IntRows, rows: IntRows) -> IntRows:
+def map(matrix: IntRows, rows: IntRows) -> IntRows:
     """The images of the rows under the matrix, which span the image of
-    their span: _leq reads them as they are, _echelon makes them an
-    Echelon."""
-    return [[sum(map(mul, mrow, v)) for mrow in matrix] for v in rows]
+    their span: leq reads them as they are, echelon makes them an Echelon.
+    As a product, rows @ matrix^T."""
+    return [[sum(builtins.map(mul, mrow, v)) for mrow in matrix] for v in rows]
 
 
-def _residues(vectors: IntRows, s: Echelon) -> tuple[IntRows, int]:
+def residues(vectors: IntRows, s: Echelon) -> tuple[IntRows, int]:
     """Each vector reduced modulo s, all over one common scale: v times the
     lcm of the pivot entries, minus the multiple of each row of s that
     clears its pivot. The rows are zero at the other rows' pivots, so they
@@ -201,78 +192,23 @@ def _residues(vectors: IntRows, s: Echelon) -> tuple[IntRows, int]:
     return out, scale
 
 
-def _leq(vectors: IntRows, s: Echelon) -> bool:
+def leq(vectors: IntRows, s: Echelon) -> bool:
     """Whether every vector lies in s."""
-    return not any(map(any, _residues(vectors, s)[0]))
+    return not any(builtins.map(any, residues(vectors, s)[0]))
 
 
-def _preimage(matrix: IntRows, target: Echelon, dim: int) -> Echelon:
+def preimage(matrix: IntRows, target: Echelon, dim: int) -> Echelon:
     """{v : matrix @ v in target}: the kernel of the matrix whose columns are
     the residues of the matrix's columns modulo target."""
-    residues = _residues([list(col) for col in zip(*matrix)], target)[0]
-    return _kernel([list(row) for row in zip(*residues)], dim)
+    cols = residues([list(col) for col in zip(*matrix)], target)[0]
+    return kernel([list(row) for row in zip(*cols)], dim)
 
 
-def _intersect(a: IntRows, b: IntRows, dim: int) -> Echelon:
+def intersect(a: IntRows, b: IntRows, dim: int) -> Echelon:
     """Zassenhaus: echelon form of [[A A],[B 0]]; the rows with their pivot
     in the right half come last, and their right halves span the meet."""
     if not a or not b:
         return Echelon([], [])
-    rows, pivots = _echelon([r + r for r in a] + [r + [0] * dim for r in b])
+    rows, pivots = echelon([r + r for r in a] + [r + [0] * dim for r in b])
     meet = [i for i, c in enumerate(pivots) if c >= dim]
     return Echelon([rows[i][dim:] for i in meet], [pivots[i] - dim for i in meet])
-
-
-# ---------------------------------------------------------------------------
-# subspaces as canonical row spaces
-
-Subspace = Matrix  # rows form an RREF basis; () is the zero subspace
-
-
-def span(vectors: Sequence[Vector], dim: int) -> Subspace:
-    vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if any(len(v) != dim for v in vecs):
-        raise ValueError("vector length does not match ambient dimension")
-    return rref(vecs)[0]
-
-
-def subspace_dim(s: Subspace) -> int:
-    return len(s)
-
-
-def subspace_intersect(a: Subspace, b: Subspace, dim: int) -> Subspace:
-    return _fractions(_intersect(_integral(a)[0], _integral(b)[0], dim))
-
-
-def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    """Whether the rows of a lie in b; b must be canonical."""
-    return _leq(_integral(a)[0], _canonical(b, len(b[0]) if b else 0))
-
-
-def kernel_of(matrix: Matrix, dim: int) -> Subspace:
-    """{v : matrix @ v = 0} as a canonical subspace, from one elimination."""
-    return _fractions(_kernel(_integral(matrix)[0], dim))
-
-
-def image_of(matrix: Matrix) -> Subspace:
-    """Column space of the matrix, as a canonical subspace of Q^rows."""
-    return _fractions(_image(_integral(matrix)[0]))
-
-
-def map_subspace(matrix: Matrix, s: Subspace) -> Subspace:
-    """Image of a subspace under the matrix, inside Q^rows."""
-    return _fractions(_echelon(_map(_integral(matrix)[0], _integral(s)[0])))
-
-
-def preimage_in(matrix: Matrix, target: Subspace, dim: int) -> Subspace:
-    """{v : matrix @ v in target}, target a canonical subspace of Q^rows."""
-    return _fractions(_preimage(_integral(matrix)[0], _canonical(target, len(matrix)), dim))
-
-
-def reduce_mod(vec: Sequence[Fraction], s: Subspace) -> Vector:
-    """Canonical representative of vec modulo the canonical subspace s: each
-    RREF row clears its pivot, so the result is zero exactly when vec lies
-    in s."""
-    (v,), den = _integral((vec,))
-    (out,), scale = _residues([v], _canonical(s, len(vec)))
-    return tuple(Fraction(x, den * scale) for x in out)

@@ -101,9 +101,21 @@ def random_partition(rng: random.Random, max_total: int):
     return tuple(sorted(parts, reverse=True))
 
 
+def identity(n: int) -> ratmat.Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def matrix_powers(mat: ratmat.Matrix, e: int) -> list[ratmat.Matrix]:
+    """N^0, ..., N^e as Fraction products."""
+    powers = [identity(len(mat))]
+    for _ in range(e):
+        powers.append(ratmat.mat_mul(powers[-1], mat))
+    return powers
+
+
 def invert_matrix(mat: ratmat.Matrix) -> ratmat.Matrix:
     n = len(mat)
-    augmented = tuple(tuple(row) + ratmat.identity(n)[i]
+    augmented = tuple(tuple(row) + identity(n)[i]
                       for i, row in enumerate(mat))
     reduced, pivots = ratmat.rref(augmented)
     if pivots != tuple(range(n)):
@@ -113,7 +125,7 @@ def invert_matrix(mat: ratmat.Matrix) -> ratmat.Matrix:
 
 def random_invertible(rng: random.Random, n: int) -> ratmat.Matrix:
     """Product of a few elementary row additions; always unimodular."""
-    rows = [list(row) for row in ratmat.identity(n)]
+    rows = [list(row) for row in identity(n)]
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:

@@ -53,10 +53,12 @@ from mfres import ratmat
 from mfres.cli import builtin_corpus_dir
 
 from conftest import (
+    identity,
     intertwiner_basis,
     invert_matrix,
     jordan_graded_oracle,
     jordan_matrix,
+    matrix_powers,
     poly,
     random_invertible,
     random_partition,
@@ -277,37 +279,36 @@ def filtration_lattice(op: NilpotentOperator) -> list:
     """All sums of (ker N^a intersect im N^b), the candidate pieces."""
     n = op.dimension
     e = op.nilpotency_index
-    powers = [ratmat.identity(n)]
-    for _ in range(e):
-        powers.append(ratmat.mat_mul(powers[-1], op.matrix))
+    powers = [ratmat.integral(p)[0] for p in matrix_powers(op.matrix, e)]
 
     atoms = set()
     for a in range(e + 1):
-        kernel = ratmat.kernel_of(powers[a], n) if a > 0 else ()
+        kernel = ratmat.kernel(powers[a], n).rows if a > 0 else []
         for b in range(e + 1):
-            image = ratmat.image_of(powers[b]) if b > 0 else ratmat.identity(n)
-            atoms.add(ratmat.subspace_intersect(kernel, image, n))
-    atoms.add(ratmat.identity(n))
+            image = ratmat.image(powers[b]).rows if b > 0 else powers[0]
+            atoms.add(ratmat.fractions(ratmat.intersect(kernel, image, n)))
+    atoms.add(identity(n))
 
     closed = set(atoms)
     frontier = list(atoms)
     while frontier:
         s = frontier.pop()
         for t in list(closed):
-            u = ratmat.span(s + t, n)
+            u = ratmat.rref(s + t)[0]
             if u not in closed:
                 closed.add(u)
                 frontier.append(u)
-    return sorted(closed, key=lambda s: (ratmat.subspace_dim(s), s))
+    return sorted(closed, key=lambda s: (len(s), s))
 
 
 def assert_unique_filtration(partition, center: int):
     op = NilpotentOperator.from_rows(jordan_matrix(partition), center)
     reference = weight_filtration(op)
     lattice = filtration_lattice(op)
+    forms = {s: ratmat.canonical(s, op.dimension) for s in lattice}
     e = op.nilpotency_index
     slots = 2 * e + 1
-    full = ratmat.identity(op.dimension)
+    full = identity(op.dimension)
 
     valid = []
 
@@ -323,7 +324,7 @@ def assert_unique_filtration(partition, center: int):
                 valid.append(tuple(chain))
             return
         for s in lattice:
-            if not chain or ratmat.subspace_leq(chain[-1], s):
+            if not chain or ratmat.leq(forms[chain[-1]].rows, forms[s]):
                 extend(chain + [s])
 
     extend([])
@@ -385,10 +386,10 @@ def test_criterion_6_weight_filtration():
         wf_prime = filtration_for(right)
         low = min(wf.lowest, wf_prime.lowest)
         high = max(wf.highest, wf_prime.highest)
+        g_rows = ratmat.integral(g)[0]
         for k in range(low, high + 1):
-            moved = ratmat.map_subspace(g, wf.piece(k))
-            assert ratmat.subspace_leq(moved, wf_prime.piece(k)), (
-                left, right, k)
+            moved = ratmat.map(g_rows, wf.int_piece(k).rows)
+            assert ratmat.leq(moved, wf_prime.int_piece(k)), (left, right, k)
         checked += 1
 
     assert time.monotonic() - started < 20.0

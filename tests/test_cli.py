@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -189,7 +190,7 @@ class TestGramAndPsd:
     def test_psd_size_budget_comes_before_any_entry(self, capsys, tmp_path,
                                                     monkeypatch, labels, rows):
         def refuse(g):
-            raise AssertionError("the report reached the LDL^T")
+            raise AssertionError("the report reached is_positive_semidefinite")
         monkeypatch.setattr(cli, "is_positive_semidefinite", refuse)
         report = tmp_path / "big.json"
         report.write_text(json.dumps({
@@ -202,9 +203,9 @@ class TestGramAndPsd:
             "type": "BudgetError",
             "message": "gram matrix of size 129 exceeds MAX_GRAM_SIZE = 128"}
 
-    # 12 x 12 reports of 1,000 and 4,000 digit entries ran 2.7 s and 40 s in
-    # the LDL^T, then failed to print a kernel coordinate past Python's limit
-    # on the digits of an int turned into a string
+    # 12 x 12 reports of 1,000 and 4,000 digit entries once ran 2.7 s and
+    # 40 s in a Fraction LDL^T, then failed to print a kernel coordinate past
+    # Python's limit on the digits of an int turned into a string
     @pytest.mark.parametrize("digits", [1000, 4000])
     def test_psd_entry_budget(self, capsys, tmp_path, digits):
         big = 10 ** (digits - 1)
@@ -551,8 +552,13 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "mfres.cli", "gram",
                str(CORPUS / "cubic.json"), "--pairing", "euler",
                "--items", "C1,C1s"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        # the child finds this checkout's package whether or not mfres is
+        # installed or PYTHONPATH is set
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # not empty

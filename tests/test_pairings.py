@@ -16,6 +16,7 @@ from mfres import (
     MfresError,
     ModulePresentation,
     GramMatrix,
+    InternalCheckError,
     ParityError,
     PolyMatrix,
     Polynomial,
@@ -48,7 +49,9 @@ from mfres import (
     tor_lengths,
     validate_mf,
 )
+from mfres import ratmat
 from mfres.cli import builtin_corpus_dir
+from mfres.pairings import PsdReport
 from conftest import XY, make_mf, make_module, poly
 
 
@@ -477,10 +480,149 @@ class TestPsd:
         from mfres.pairings import MAX_GRAM_ENTRY_BITS
         top = 2 ** MAX_GRAM_ENTRY_BITS - 1
         assert is_positive_semidefinite(GramMatrix(("a",), "euler", ((-top,),))).negative_pivot == -top
-        # checked on every entry before the symmetry check and the LDL^T
+        # checked on every entry before the symmetry check and the elimination
         over = GramMatrix(("a", "b"), "euler", ((1, 0), (top + 1, 1)))
         with pytest.raises(BudgetError, match="MAX_GRAM_ENTRY_BITS = 64"):
             is_positive_semidefinite(over)
+
+
+    def test_perturbed_kernel_vector_raises(self, monkeypatch):
+        original = ratmat.nullspace
+
+        def perturbed(a, ncols):
+            first, *rest = original(a, ncols)
+            return (tuple(x + (i == 0) for i, x in enumerate(first)), *rest)
+        monkeypatch.setattr(ratmat, "nullspace", perturbed)
+        g = GramMatrix(("a", "b"), "euler", ((2, -2), (-2, 2)))
+        with pytest.raises(InternalCheckError):
+            is_positive_semidefinite(g)
+
+    def test_missing_kernel_vector_raises(self, monkeypatch):
+        original = ratmat.nullspace
+        monkeypatch.setattr(ratmat, "nullspace", lambda a, ncols: original(a, ncols)[1:])
+        g = GramMatrix(("a", "b", "c"), "euler", ((1, 1, 0), (1, 1, 0), (0, 0, 0)))
+        assert len(original(g.entries, 3)) == 2
+        with pytest.raises(InternalCheckError):
+            is_positive_semidefinite(g)
+
+
+def _ref_psd(g: GramMatrix) -> PsdReport:
+    """Reference for is_positive_semidefinite: LDL^T on Fractions with
+    largest diagonal pivoting, the first largest on a tie. Only for valid
+    input: no budget or symmetry checks."""
+    n = g.size
+    m = [[Fraction(v) for v in row] for row in g.entries]
+    work = [row[:] for row in m]
+    for k in range(n):
+        pivot_index = k
+        for i in range(k, n):
+            if work[i][i] > work[pivot_index][pivot_index]:
+                pivot_index = i
+        d = work[pivot_index][pivot_index]
+        if d < 0:
+            return PsdReport(psd=False, kernel_basis=(), negative_pivot=d)
+        if d == 0:
+            # all remaining diagonals are <= 0; PSD exactly when the block is zero
+            block_zero = all(work[i][j] == 0
+                             for i in range(k, n) for j in range(k, n))
+            if block_zero:
+                break
+            return PsdReport(psd=False, kernel_basis=(), negative_pivot=None)
+        if pivot_index != k:
+            work[k], work[pivot_index] = work[pivot_index], work[k]
+            for row in work:
+                row[k], row[pivot_index] = row[pivot_index], row[k]
+        for i in range(k + 1, n):
+            factor = work[i][k] / d
+            for j in range(k + 1, n):
+                work[i][j] -= factor * work[k][j]
+    kernel = ratmat.nullspace(tuple(tuple(row) for row in m), n)
+    return PsdReport(psd=True, kernel_basis=tuple(kernel))
+
+
+def _gram_of(b, n):
+    """B^T B for the rows of B in Q^n."""
+    return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+
+
+def _symmetric(rng, n, entry):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry()
+    return m
+
+
+def _permuted(rng, m):
+    order = list(range(len(m)))
+    rng.shuffle(order)
+    return [[m[i][j] for j in order] for i in order]
+
+
+def _psd_cases(rng):
+    """(kind, symmetric matrix) pairs, 64 of each kind, of size <= 8."""
+    small = lambda: rng.randint(-4, 4)  # noqa: E731
+    for _ in range(64):
+        n = rng.randint(1, 8)
+        # PSD of deficient rank
+        yield "deficient", _gram_of([[small() for _ in range(n)]
+                                     for _ in range(rng.randint(0, n - 1))], n)
+        # indefinite more often than not: a B^T B minus a multiple of I, or no structure
+        if rng.random() < 0.5:
+            c = rng.randint(1, 6)
+            m = _gram_of([[small() for _ in range(n)] for _ in range(n)], n)
+            yield "indefinite", [[x - c * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(m)]
+        else:
+            yield "indefinite", _symmetric(rng, n, lambda: rng.randint(-5, 5))
+        # a PSD block beside a zero-diagonal block with an entry off its diagonal
+        z = rng.randint(2, max(2, n))
+        p = rng.randint(0, 8 - z)
+        block = _gram_of([[small() for _ in range(p)] for _ in range(rng.randint(0, p))], p)
+        zero = _symmetric(rng, z, lambda: rng.choice((0, 0, rng.randint(-3, 3))))
+        for i in range(z):
+            zero[i][i] = 0
+        i, j = rng.sample(range(z), 2)
+        zero[i][j] = zero[j][i] = rng.choice((-2, -1, 1, 2))
+        yield "zero_diagonal", _permuted(rng, [row + [0] * z for row in block]
+                                         + [[0] * p + row for row in zero])
+        # every diagonal entry the same, so the first pivot is a tie
+        d = rng.randint(0, 4)
+        m = _symmetric(rng, n, lambda: rng.randint(-1, 1))
+        yield "tied", [[d if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(m)]
+        # Fraction entries, some whole, of PSD or random matrices
+        q = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            m = _gram_of([[small() for _ in range(n)] for _ in range(rng.randint(0, n))], n)
+        else:
+            m = _symmetric(rng, n, lambda: rng.randint(-9, 9))
+        whole = _symmetric(rng, n, lambda: rng.random() < 0.3)
+        yield "fractions", [[x if w else Fraction(x, q) for x, w in zip(row, wrow)]
+                            for row, wrow in zip(m, whole)]
+
+
+class TestPsdAgainstReference:
+    def test_matches_fraction_ldlt(self):
+        seen = {}
+        for kind, m in _psd_cases(random.Random(29)):
+            g = GramMatrix(tuple(map(str, range(len(m)))), "euler",
+                           tuple(tuple(row) for row in m))
+            got = is_positive_semidefinite(g)
+            want = _ref_psd(g)
+            assert (got.psd, got.kernel_basis, got.negative_pivot) == (
+                want.psd, want.kernel_basis, want.negative_pivot), (kind, m)
+            outcome = ("psd" if want.psd and want.kernel_basis else
+                       "definite" if want.psd else
+                       "negative" if want.negative_pivot is not None else "zero_block")
+            seen.setdefault(kind, set()).add(outcome)
+        assert sum(1 for _ in _psd_cases(random.Random(29))) == 320
+        # each kind reaches the verdicts it was built for
+        assert seen["deficient"] == {"psd"}
+        assert {"negative", "zero_block"} <= seen["indefinite"]
+        assert "zero_block" in seen["zero_diagonal"]
+        assert {"psd", "definite", "negative", "zero_block"} <= seen["tied"]
+        assert {"psd", "negative"} <= seen["fractions"]
 
 
 class TestCombinations:
