@@ -4,7 +4,7 @@ complex homology, the Grothendieck residue through the transformation law,
 the index identity tying the two together, stable Tor differences, and
 monodromy style weight filtrations.
 
-All arithmetic is exact (fractions.Fraction); nothing here floats.
+All arithmetic is exact (Fraction at the interface, ints in the cores); nothing floats.
 """
 
 from __future__ import annotations

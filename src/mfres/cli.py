@@ -340,20 +340,12 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
         got = milnor_algebra(cf.potential, order).mu
         return f"milnor mu={want}", got == want, f"found {got}"
 
-    if kind == "euler":
+    if kind in ("euler", "herbrand"):
         left = cf.factorization(_expect_label(rec, "left"))
         right = cf.factorization(_expect_label(rec, "right"))
         want = rec.get("value")
-        got = euler_pairing(left, right, order)
-        return (f"euler {left.label} {right.label} = {want}",
-                got == want, f"found {got}")
-
-    if kind == "herbrand":
-        left = cf.factorization(_expect_label(rec, "left"))
-        right = cf.factorization(_expect_label(rec, "right"))
-        want = rec.get("value")
-        got = herbrand_difference(left, right, order)
-        return (f"herbrand {left.label} {right.label} = {want}",
+        got = (euler_pairing if kind == "euler" else herbrand_difference)(left, right, order)
+        return (f"{kind} {left.label} {right.label} = {want}",
                 got == want, f"found {got}")
 
     if kind == "theta":

@@ -40,7 +40,7 @@ from typing import Any
 
 from .errors import BudgetError, CorpusError, MfresError
 from .groebner import FreeModuleElement
-from .mf import MatrixFactorization, ModulePresentation, validate_mf
+from .mf import MatrixFactorization, ModulePresentation
 from .polyring import Polynomial, PolyMatrix, parse_polynomial
 
 
@@ -67,12 +67,9 @@ class CorpusFile:
 
     def item(self, label: str):
         """Factorization or module with the given label; factorizations win."""
-        for mf in self.factorizations:
-            if mf.label == label:
-                return mf
-        for mod in self.modules:
-            if mod.label == label:
-                return mod
+        for it in self.factorizations + self.modules:
+            if it.label == label:
+                return it
         raise CorpusError(f"no item labeled {label!r} in corpus {self.name!r}")
 
 
@@ -156,8 +153,8 @@ def load_corpus(path: str | Path) -> CorpusFile:
         a = _parse_matrix(spec.get("A"), variables, f"{where} {label} matrix A")
         b = _parse_matrix(spec.get("B"), variables, f"{where} {label} matrix B")
         try:
-            factorizations.append(validate_mf(
-                MatrixFactorization(potential=potential, A=a, B=b, label=label)))
+            factorizations.append(
+                MatrixFactorization(potential=potential, A=a, B=b, label=label))
         except MfresError as exc:
             raise CorpusError(f"{where} {label}: {exc}") from exc
 

@@ -524,11 +524,15 @@ class _AugmentedBasis:
 
 def syzygy_basis(generators: Sequence[GenLike],
                  order: MonomialOrder = DEGREVLEX) -> list[FreeModuleElement]:
-    """Generators of {(c_1..c_k) : sum c_i g_i = 0} in Q[x]^k."""
+    """Reduced basis of {(c_1..c_k) : sum c_i g_i = 0} in Q[x]^k, found under
+    degrevlex, where coefficients stay small, then brought to the order."""
     elements = [_to_element(g) for g in generators]
     if not elements:
         return []
-    return _AugmentedBasis(elements, order).syzygies()
+    syzygies = _AugmentedBasis(elements, DEGREVLEX).syzygies()
+    if order == DEGREVLEX:
+        return syzygies
+    return list(groebner_basis(syzygies, order, len(elements), elements[0].ring).generators)
 
 
 def express_in_terms(x: GenLike, generators: Sequence[GenLike],

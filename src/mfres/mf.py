@@ -1,7 +1,7 @@
 """Matrix factorizations and their two periodic homological algebra.
 
 A factorization of a potential f is a pair of r x r polynomial matrices with
-A B = B A = f I. It presents the two periodic complex
+A B = B A = f I, checked once, when it is built. It presents the two periodic complex
 
     ... -> P_1 --A--> P_0 --B--> P_1 --A--> P_0 -> ...
 
@@ -28,6 +28,7 @@ dimensions, never mod p shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import FactorizationError, InternalCheckError
@@ -43,12 +44,15 @@ from .polyring import Polynomial, PolyMatrix, _cleared_product, _cleared_rows, t
 
 @dataclass(frozen=True)
 class MatrixFactorization:
-    """A pair (A, B) with A B = B A = potential * identity."""
+    """A pair (A, B) with A B = B A = potential * identity, checked on construction."""
 
     potential: Polynomial
     A: PolyMatrix
     B: PolyMatrix
     label: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        validate_mf(self)
 
     @property
     def rank(self) -> int:
@@ -60,7 +64,7 @@ class MatrixFactorization:
 
 
 def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
-    """Check the factorization equations entrywise; raise naming the entry."""
+    """Check A B = B A = f I on integer forms of A and B; raise naming the entry."""
     a, b, f = candidate.A, candidate.B, candidate.potential
     r = a.rows
     if a.cols != r or b.rows != r or b.cols != r:
@@ -71,15 +75,27 @@ def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
         raise FactorizationError("potential must be a nonzero polynomial")
     if a.ring != f.ring or b.ring != f.ring:
         raise FactorizationError("matrix entries and potential live in different rings")
-    expected = PolyMatrix.scalar(f, r)
-    for name, prod in (("A*B", a @ b), ("B*A", b @ a)):
-        for idx, (got, want) in enumerate(zip(prod.entries, expected.entries)):
-            if got != want:
-                i, j = divmod(idx, r)
-                raise FactorizationError(
-                    f"product {name} mismatch at entry ({i + 1},{j + 1}): "
-                    f"expected {to_string(want)}, found {to_string(got)}")
+    (da, left), (db, right) = _cleared_rows(a), _cleared_rows(b)
+    den = da * db
+    for name, first, second in (("A*B", left, right), ("B*A", right, left)):
+        for i, j, terms in _off_scalar(first, second, {e: den * c for e, c in f.items()}):
+            got = Polynomial._trusted(f.ring, {e: Fraction(c, den) for e, c in terms.items()})
+            raise FactorizationError(
+                f"product {name} mismatch at entry ({i + 1},{j + 1}): "
+                f"expected {to_string(f) if i == j else 0}, found {to_string(got)}")
     return candidate
+
+
+def _off_scalar(left, right, c: dict):
+    """(i, j, nonzero terms), row major, at each entry where the product of two
+    _cleared_rows forms differs from c times the identity; c = {} for zero."""
+    for i, acc in enumerate(_cleared_product(left, right)):
+        for j in sorted(acc.keys() | {i}):
+            got, want = acc.get(j, {}), (c if i == j else {})
+            # most entries are zero: test that before collecting nonzero terms
+            terms = {e: k for e, k in got.items() if k} if want or any(got.values()) else {}
+            if terms != want:
+                yield i, j, terms
 
 
 def shift(mf: MatrixFactorization) -> MatrixFactorization:
@@ -151,8 +167,7 @@ class TwoPeriodicComplex:
         """Both composites vanish, tested on the integer products of the
         differentials cleared of denominators once, building no Polynomial."""
         eo, oe = (_cleared_rows(d)[1] for d in (self.d_even_to_odd, self.d_odd_to_even))
-        return not any(any(terms.values()) for left, right in ((oe, eo), (eo, oe))
-                       for acc in _cleared_product(left, right) for terms in acc.values())
+        return not any(any(_off_scalar(a, b, {})) for a, b in ((oe, eo), (eo, oe)))
 
 
 def _kron(m: PolyMatrix, s: int, transpose: bool = False):
@@ -180,11 +195,9 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
         even to odd: [[B' (x) I_r, -(I_r' (x) B^T)], [-(I_r' (x) A^T), A' (x) I_r]]
         odd to even: [[A' (x) I_r,   I_r' (x) B^T ], [  I_r' (x) A^T,  B' (x) I_r]]
 
-    built directly from the nonzero entries of A, B, A', B'. The composites
-    are checked to vanish on every call.
+    built directly from the nonzero entries of A, B, A', B', which were checked
+    when built. The composites are checked to vanish on every call.
     """
-    validate_mf(left)
-    validate_mf(right)
     if left.potential != right.potential:
         raise FactorizationError("factorizations have different potentials")
     r, rp = left.rank, right.rank
@@ -283,7 +296,6 @@ def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
     periodic_homology(B, A, N), two Buchberger runs in all. Structural two
     periodicity makes the next window literally the same matrices.
     """
-    validate_mf(mf)
     if n_module.over != "R":
         raise ValueError("Tor is taken over R; presentation must be over R")
     if n_module.potential != mf.potential:

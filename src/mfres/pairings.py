@@ -77,7 +77,6 @@ from .mf import (
     homology_dimensions,
     periodic_homology,
     tor_lengths,
-    validate_mf,
 )
 from .polyring import (
     Polynomial,
@@ -230,8 +229,6 @@ def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization,
     N = coker(A') is the two periodic complex N^r --A^T--> N^r --B^T--> N^r,
     so the pair is the homology of (A^T, B^T) with N.
     """
-    validate_mf(x)
-    validate_mf(y)
     if x.potential != y.potential:
         raise FactorizationError("factorizations have different potentials")
     e_even, e_odd = periodic_homology(x.A.transpose(), x.B.transpose(),

@@ -135,9 +135,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
-
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
         if not self._terms:

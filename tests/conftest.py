@@ -12,7 +12,6 @@ from mfres import (
     FreeModuleElement,
     PolyMatrix,
     parse_polynomial,
-    validate_mf,
 )
 from mfres import ratmat
 
@@ -31,11 +30,11 @@ def matrix(rows, variables=XY) -> PolyMatrix:
 
 def make_mf(potential: str, a_rows, b_rows, variables=XY,
             label: str = "") -> MatrixFactorization:
-    return validate_mf(MatrixFactorization(
+    return MatrixFactorization(
         potential=parse_polynomial(potential, variables),
         A=matrix(a_rows, variables),
         B=matrix(b_rows, variables),
-        label=label))
+        label=label)
 
 
 def make_module(potential: str, relations, ambient_rank: int = 1,

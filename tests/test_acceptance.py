@@ -45,7 +45,6 @@ from mfres import (
     parse_polynomial,
     quotient_dimension,
     shift,
-    validate_mf,
     verify_weight_axioms,
     weight_filtration,
 )
@@ -130,7 +129,7 @@ def test_criterion_2_anchor_values_with_independent_oracles():
         for k in range(1, n):
             a = PolyMatrix.from_rows([[parse_polynomial(f"x^{k}", ring)]])
             b = PolyMatrix.from_rows([[parse_polynomial(f"x^{n - k}", ring)]])
-            x_mf = validate_mf(MatrixFactorization(f, a, b))
+            x_mf = MatrixFactorization(f, a, b)
             expected = one_variable_ext_oracle(n, k)
             assert homology_dimensions(hom_complex(x_mf, x_mf)) == (
                 expected, expected), (n, k)
@@ -245,7 +244,7 @@ def random_adjugate_factorization(rng: random.Random, ring,
     det = a.determinant()
     if det.is_zero():
         return None
-    return validate_mf(MatrixFactorization(det, a, a.adjugate()))
+    return MatrixFactorization(det, a, a.adjugate())
 
 
 def test_criterion_5_trace_form_lemma():
@@ -426,12 +425,10 @@ def test_criterion_7_engine_cross_validation():
         for left, right in product(items, repeat=2):
             plain = homology_dimensions(hom_complex(left, right))
             swapped = homology_dimensions(hom_complex(
-                validate_mf(MatrixFactorization(swap_variables(left.potential),
-                                                swap_matrix(left.A),
-                                                swap_matrix(left.B))),
-                validate_mf(MatrixFactorization(swap_variables(right.potential),
-                                                swap_matrix(right.A),
-                                                swap_matrix(right.B)))))
+                MatrixFactorization(swap_variables(left.potential),
+                                    swap_matrix(left.A), swap_matrix(left.B)),
+                MatrixFactorization(swap_variables(right.potential),
+                                    swap_matrix(right.A), swap_matrix(right.B))))
             assert plain == swapped, (name, left.label, right.label)
 
     # shifting one argument swaps the two homology dimensions

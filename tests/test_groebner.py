@@ -107,6 +107,11 @@ class TestNormalForm:
         assert normal_form(p + q, gb) == nf + normal_form(q, gb)
 
 
+# the lex syzygies of these run past MAX_COEFFICIENT_BITS when the tagged
+# Buchberger run is made under lex itself
+RUNAWAY = ("3*x^2*y^2*z - 3*x^2*z + x*z^2", "-2*x^2*y^2 - 2*z^2 + 2*x", "-x*y*z^2 - 2*x^2 - 2*y")
+
+
 class TestSyzygiesAndMembership:
     def test_syzygies_annihilate(self):
         gens = [poly("x^2 + y"), poly("x*y"), poly("y^2 - x")]
@@ -115,6 +120,18 @@ class TestSyzygiesAndMembership:
             for c, g in zip(syz.components, gens):
                 total = total + c * g
             assert total.is_zero()
+
+    def test_lex_syzygies_of_the_runaway_draw(self):
+        gens = [poly(p, XYZ) for p in RUNAWAY]
+        syz = syzygy_basis(gens, LEX)
+        assert syz
+        for s in syz:
+            assert sum((c * g for c, g in zip(s.components, gens)), Polynomial.zero(XYZ)).is_zero()
+        # the same module as the degrevlex syzygies, in its reduced lex basis
+        by_degrevlex = syzygy_basis(gens)
+        lex_gb = groebner_basis(syz, LEX)
+        assert all(normal_form(s, lex_gb).is_zero() for s in by_degrevlex)
+        assert tuple(syz) == lex_gb.generators == groebner_basis(by_degrevlex, LEX).generators
 
     def test_koszul_syzygy_is_found(self):
         sys_gens = syzygy_basis([poly("x"), poly("y")])
@@ -626,11 +643,9 @@ class TestWorkCounts:
         assert len(buchberger_runs) == 4
 
     def test_runaway_coefficients_stop_at_the_budget(self, reduce_calls):
-        # without the budget this lex syzygy run's pseudo-division scales pass
+        # without the budget this tagged lex run's pseudo-division scales pass
         # 80,000 bits and it does not finish in minutes
-        gens = [poly(p, XYZ) for p in ("3*x^2*y^2*z - 3*x^2*z + x*z^2",
-                                       "-2*x^2*y^2 - 2*z^2 + 2*x",
-                                       "-x*y*z^2 - 2*x^2 - 2*y")]
+        gens = [FreeModuleElement((poly(p, XYZ),)) for p in RUNAWAY]
         with pytest.raises(BudgetError, match="MAX_COEFFICIENT_BITS"):
-            syzygy_basis(gens, LEX)
+            _AugmentedBasis(gens, LEX)
         assert len(reduce_calls) == 88

@@ -15,13 +15,17 @@ from mfres import (
     PolyMatrix,
     cokernel_presentation,
     dual,
+    gram_matrix,
+    herbrand_difference,
     hom_complex,
     homology_dimensions,
+    load_corpus,
     shift,
     TwoPeriodicComplex,
     tor_lengths,
     validate_mf,
 )
+from mfres.cli import builtin_corpus_dir
 from conftest import XY, koszul_rank4, make_mf, make_module, matrix, poly
 
 
@@ -30,14 +34,33 @@ class TestValidation:
         assert node_mf.rank == 1
 
     def test_rejects_wrong_product_with_entry_coordinates(self):
-        bad = MatrixFactorization(potential=poly("x*y"),
-                                  A=matrix([["x"]]), B=matrix([["x"]]))
+        # checked on construction, so the invalid pair is never built
         with pytest.raises(FactorizationError) as info:
-            validate_mf(bad)
+            MatrixFactorization(potential=poly("x*y"), A=matrix([["x"]]), B=matrix([["x"]]))
         message = str(info.value)
         assert "entry (1,1)" in message
         assert "expected x*y" in message
         assert "found x^2" in message
+
+    def test_accepts_rational_coefficients(self):
+        # the integer products carry the cleared denominators 2 * 1 on both sides
+        mf = MatrixFactorization(poly("x*y"), matrix([["1/2*x"]]), matrix([["2*y"]]))
+        assert validate_mf(mf) is mf
+
+    @pytest.mark.parametrize("f, a, b, message", [
+        ("x*y", [["1/3*x"]], [["2/3*y"]],
+         "product A*B mismatch at entry (1,1): expected x*y, found 2/9*x*y"),
+        ("1/2*x*y", [["x"]], [["y"]],
+         "product A*B mismatch at entry (1,1): expected 1/2*x*y, found x*y"),
+        ("x*y", [["x", "1"], ["0", "y"]], [["y", "0"], ["0", "x"]],
+         "product A*B mismatch at entry (1,2): expected 0, found x"),
+        ("x^2*y", [["x", "0"], ["0", "x*y"]], [["x*y", "0"], ["1", "x"]],
+         "product A*B mismatch at entry (2,1): expected 0, found x*y"),
+    ])
+    def test_rejects_mismatch_with_exact_message(self, f, a, b, message):
+        with pytest.raises(FactorizationError) as info:
+            MatrixFactorization(poly(f), matrix(a), matrix(b))
+        assert str(info.value) == message
 
     def test_rejects_zero_potential(self):
         zero = poly("0")
@@ -49,6 +72,31 @@ class TestValidation:
             validate_mf(MatrixFactorization(poly("x*y"),
                                             matrix([["x", "y"]]),
                                             matrix([["y"], ["x"]])))
+
+
+class TestValidatedOnce:
+    """validate_mf runs when a factorization is built, and at no later use."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        original = mfres.mf.validate_mf
+        monkeypatch.setattr(mfres.mf, "validate_mf",
+                            lambda mf: calls.append(mf) or original(mf))
+        return calls
+
+    def test_load_corpus_validates_each_factorization_once(self, validations):
+        corpus = load_corpus(builtin_corpus_dir() / "cubic.json")
+        assert len(corpus.factorizations) == 3
+        assert [id(mf) for mf in validations] == [id(mf) for mf in corpus.factorizations]
+
+    def test_pairings_do_not_validate_again(self, validations):
+        items = load_corpus(builtin_corpus_dir() / "cubic.json").factorizations
+        validations.clear()
+        gram_matrix(items, "euler")
+        herbrand_difference(items[0], items[1])
+        tor_lengths(items[0], cokernel_presentation(items[1]))
+        assert validations == []
 
 
 class TestInvolutions:
@@ -195,8 +243,8 @@ class TestHomDifferentials:
 
     def test_composite_check_is_live(self, node_mf, monkeypatch):
         # A B = x^2 != x*y: only the d o d = 0 check can catch it now
-        bad = MatrixFactorization(poly("x*y"), matrix([["x"]]), matrix([["x"]]))
         monkeypatch.setattr(mfres.mf, "validate_mf", lambda mf: mf)
+        bad = MatrixFactorization(poly("x*y"), matrix([["x"]]), matrix([["x"]]))
         with pytest.raises(InternalCheckError):
             hom_complex(bad, node_mf)
 
