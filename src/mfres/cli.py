@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output style (default json)")
     parser.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex",
-                        help="monomial order used everywhere (default degrevlex)")
+                        help="monomial order of the Milnor algebra basis that chern reports "
+                             "coordinates on; pairings, Tor and mu do not depend on it "
+                             "(default degrevlex)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load a corpus file, checking every factorization")
@@ -184,7 +186,7 @@ def _cmd_euler(args, order):
     left = cf.factorization(args.left)
     right = cf.factorization(args.right)
     return {"left": left.label, "right": right.label,
-            "chi": euler_pairing(left, right, order)}, 0
+            "chi": euler_pairing(left, right)}, 0
 
 
 def _cmd_theta(args, order):
@@ -192,7 +194,7 @@ def _cmd_theta(args, order):
     left = cf.item(args.left)
     right = _as_presentation(cf.item(args.right))
     return {"left": args.left, "right": args.right,
-            "theta": hochster_theta(left, right, order)}, 0
+            "theta": hochster_theta(left, right)}, 0
 
 
 def _cmd_herbrand(args, order):
@@ -200,14 +202,14 @@ def _cmd_herbrand(args, order):
     left = cf.factorization(args.left)
     right = cf.factorization(args.right)
     return {"left": left.label, "right": right.label,
-            "h": herbrand_difference(left, right, order)}, 0
+            "h": herbrand_difference(left, right)}, 0
 
 
 def _cmd_hrr(args, order):
     cf = load_corpus(args.corpus)
     left = cf.factorization(args.left)
     right = cf.factorization(args.right)
-    report = hrr_check(left, right, order)
+    report = hrr_check(left, right)
     return {
         "chi": report.chi,
         "residue_side": format_fraction(report.residue_side),
@@ -222,7 +224,7 @@ def _cmd_gram(args, order):
     if not labels:
         raise CorpusError("no item labels given")
     items = [cf.item(lbl) for lbl in labels]
-    g = gram_matrix(items, args.pairing, order)
+    g = gram_matrix(items, args.pairing)
     return {
         "pairing": g.pairing,
         "labels": list(g.labels),
@@ -320,7 +322,7 @@ def _expect_label(rec, key):
     return value
 
 
-def _expect_gram(cf: CorpusFile, rec: dict, order) -> GramMatrix:
+def _expect_gram(cf: CorpusFile, rec: dict) -> GramMatrix:
     """The Gram matrix that a gram or gram_psd record names."""
     pairing = rec.get("pairing", "euler")
     if pairing not in PAIRINGS:
@@ -328,7 +330,7 @@ def _expect_gram(cf: CorpusFile, rec: dict, order) -> GramMatrix:
     labels = rec.get("items")
     if not isinstance(labels, list) or not labels:
         raise CorpusError("expectation needs a nonempty list field 'items'")
-    return gram_matrix([cf.item(lbl) for lbl in labels], pairing, order)
+    return gram_matrix([cf.item(lbl) for lbl in labels], pairing)
 
 
 def _run_expectation(cf: CorpusFile, rec: dict, order):
@@ -344,7 +346,7 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
         left = cf.factorization(_expect_label(rec, "left"))
         right = cf.factorization(_expect_label(rec, "right"))
         want = rec.get("value")
-        got = (euler_pairing if kind == "euler" else herbrand_difference)(left, right, order)
+        got = (euler_pairing if kind == "euler" else herbrand_difference)(left, right)
         return (f"{kind} {left.label} {right.label} = {want}",
                 got == want, f"found {got}")
 
@@ -352,7 +354,7 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
         left = cf.item(_expect_label(rec, "left"))
         right = _as_presentation(cf.item(_expect_label(rec, "right")))
         want = rec.get("value")
-        got = hochster_theta(left, right, order)
+        got = hochster_theta(left, right)
         return (f"theta {rec['left']} {rec['right']} = {want}",
                 got == want, f"found {got}")
 
@@ -360,14 +362,14 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
         item = cf.factorization(_expect_label(rec, "item"))
         module = _as_presentation(cf.item(_expect_label(rec, "module")))
         want = rec.get("value")
-        got = list(tor_lengths(item, module, order))
+        got = list(tor_lengths(item, module))
         return (f"tor {item.label} {rec['module']} = {want}",
                 got == want, f"found {got}")
 
     if kind == "hrr":
         left = cf.factorization(_expect_label(rec, "left"))
         right = cf.factorization(_expect_label(rec, "right"))
-        report = hrr_check(left, right, order)
+        report = hrr_check(left, right)
         ok = report.equal
         if "chi" in rec:
             ok = ok and report.chi == rec["chi"]
@@ -398,14 +400,14 @@ def _run_expectation(cf: CorpusFile, rec: dict, order):
                 f"found [{', '.join(format_fraction(c) for c in coords)}]")
 
     if kind == "gram":
-        g = _expect_gram(cf, rec, order)
+        g = _expect_gram(cf, rec)
         want = rec.get("entries")
         got = [list(row) for row in g.entries]
         return (f"gram {rec.get('pairing')} {','.join(rec['items'])}",
                 got == want, f"found {got}")
 
     if kind == "gram_psd":
-        g = _expect_gram(cf, rec, order)
+        g = _expect_gram(cf, rec)
         rep = is_positive_semidefinite(g)
         ok = rep.psd
         note = f"psd={rep.psd} kernel_dimension={len(rep.kernel_basis)}"

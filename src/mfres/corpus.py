@@ -176,8 +176,8 @@ def load_corpus(path: str | Path) -> CorpusFile:
             rels.append(FreeModuleElement(comps))
         try:
             modules.append(ModulePresentation(
-                ambient_rank=ambient, relations=tuple(rels), over="R",
-                potential=potential, label=label))
+                ambient_rank=ambient, relations=tuple(rels), potential=potential,
+                label=label))
         except (MfresError, ValueError) as exc:
             raise CorpusError(f"{where} module {label}: {exc}") from exc
 

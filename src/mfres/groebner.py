@@ -58,7 +58,10 @@ I inside K and one term order, K and I have echelon bases over Q indexed by
 their leading terms (Macaulay's basis theorem), so dim K/I is the number of
 terms in LT(K) but not in LT(I), the monomial modules the leading terms
 generate. A homology dimension ker d / im d' thus needs only the augmented
-bases of d and d', and any other subquotient two plain Groebner bases.
+bases of d and d', and any other subquotient two plain Groebner bases. The
+count is the same under every order, so these bases are built under
+degrevlex: the order reaches only the outputs that depend on it, the
+Groebner bases, syzygies and coordinates, and the standard monomials.
 """
 
 from __future__ import annotations
@@ -591,9 +594,9 @@ def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
     return FiniteQuotientBasis(tuple(monomials), len(monomials))
 
 
-def _leading_gap(kernel: list[Divisor], image: list[Divisor], order: MonomialOrder) -> int:
-    """dim over Q of K / I, given minimal Groebner bases of I inside K, as
-    the number of terms in LT(K) but not in LT(I).
+def _leading_gap(kernel: list[Divisor], image: list[Divisor]) -> int:
+    """dim over Q of K / I, given minimal degrevlex Groebner bases of I
+    inside K, as the number of terms in LT(K) but not in LT(I).
 
     First every image element must reduce to zero modulo the kernel, or
     ContainmentError. Then every variable x_i must act nilpotently on each
@@ -604,7 +607,7 @@ def _leading_gap(kernel: list[Divisor], image: list[Divisor], order: MonomialOrd
     """
     divisors = _by_component(kernel)
     for lt, lc, tail in image:
-        if _reduce({lt: lc, **dict(tail)}, divisors, order)[0]:
+        if _reduce({lt: lc, **dict(tail)}, divisors, DEGREVLEX)[0]:
             raise ContainmentError("image generators are not in the kernel span")
     walls: dict[int, list[Monomial]] = {}
     for (comp, exps), _, _ in image:
@@ -635,14 +638,15 @@ def _leading_gap(kernel: list[Divisor], image: list[Divisor], order: MonomialOrd
 
 
 def subquotient_dimension(kernel_gens: Sequence[GenLike],
-                          image_gens: Sequence[GenLike],
-                          order: MonomialOrder = DEGREVLEX) -> int:
+                          image_gens: Sequence[GenLike]) -> int:
     """dim over Q of (span kernel_gens) / (span image_gens).
 
     One Groebner basis of each span; the dimension is a count of leading
     terms (see _leading_gap), which also checks that the image span lies in
     the kernel span (ContainmentError) and that the quotient is finite
-    (InfiniteQuotientError).
+    (InfiniteQuotientError). The dimension does not depend on the term
+    order, so the bases are built under degrevlex, where coefficients stay
+    small.
     """
     kernel = [_to_element(g) for g in kernel_gens]
     image = [_to_element(g) for g in image_gens]
@@ -650,9 +654,9 @@ def subquotient_dimension(kernel_gens: Sequence[GenLike],
     if len(ranks) > 1:
         raise ValueError("kernel and image generators have different ranks")
     rank = ranks.pop() if ranks else 1
-    kernel_basis, image_basis = (_buchberger([element_to_vec(g) for g in gens], rank, order)
+    kernel_basis, image_basis = (_buchberger([element_to_vec(g) for g in gens], rank, DEGREVLEX)
                                  for gens in (kernel, image))
-    return _leading_gap(kernel_basis, image_basis, order)
+    return _leading_gap(kernel_basis, image_basis)
 
 
 def origin_support_check(gb: GroebnerBasis) -> bool:

@@ -29,16 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import FactorizationError, InternalCheckError
-from .groebner import (
-    DEGREVLEX,
-    FreeModuleElement,
-    MonomialOrder,
-    _AugmentedBasis,
-    _leading_gap,
-)
+from .groebner import DEGREVLEX, FreeModuleElement, _AugmentedBasis, _leading_gap
 from .polyring import Polynomial, PolyMatrix, _cleared_product, _cleared_rows, to_string
 
 
@@ -115,24 +108,17 @@ def dual(mf: MatrixFactorization) -> MatrixFactorization:
 
 @dataclass(frozen=True)
 class ModulePresentation:
-    """Cokernel presentation: ambient_rank rows, one relation per column.
-
-    over == "Q" is a plain polynomial module; over == "R" means the hypersurface
-    ring Q[x]/(potential), in which case the potential is stored and the
+    """Cokernel presentation of a module over the hypersurface ring
+    R = Q[x]/(potential): ambient_rank rows, one relation per column. The
     relations f * e_i are implied everywhere the presentation is used.
     """
 
     ambient_rank: int
     relations: tuple[FreeModuleElement, ...]
-    over: str = "R"
-    potential: Polynomial | None = None
+    potential: Polynomial
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.over not in ("Q", "R"):
-            raise ValueError("over must be 'Q' or 'R'")
-        if self.over == "R" and self.potential is None:
-            raise ValueError("R presentations carry their potential")
         for rel in self.relations:
             if rel.rank != self.ambient_rank:
                 raise ValueError("relation rank does not match ambient rank")
@@ -141,7 +127,7 @@ class ModulePresentation:
 def cokernel_presentation(mf: MatrixFactorization) -> ModulePresentation:
     """coker(A) as a module over R = Q[x]/(f); relations are A's columns."""
     cols = tuple(FreeModuleElement(mf.A.column(j)) for j in range(mf.A.cols))
-    return ModulePresentation(ambient_rank=mf.rank, relations=cols, over="R",
+    return ModulePresentation(ambient_rank=mf.rank, relations=cols,
                               potential=mf.potential, label=mf.label)
 
 
@@ -150,18 +136,23 @@ def cokernel_presentation(mf: MatrixFactorization) -> ModulePresentation:
 
 @dataclass(frozen=True)
 class TwoPeriodicComplex:
-    """Two free terms with differentials both ways; composites vanish."""
+    """Two free terms with differentials both ways; composites vanish. The
+    ranks of the terms are read off the shape of d_even_to_odd."""
 
-    rank_even: int
-    rank_odd: int
     d_even_to_odd: PolyMatrix
     d_odd_to_even: PolyMatrix
 
     def __post_init__(self):
-        if (self.d_even_to_odd.rows, self.d_even_to_odd.cols) != (self.rank_odd, self.rank_even):
-            raise ValueError("even-to-odd differential has wrong shape")
         if (self.d_odd_to_even.rows, self.d_odd_to_even.cols) != (self.rank_even, self.rank_odd):
             raise ValueError("odd-to-even differential has wrong shape")
+
+    @property
+    def rank_even(self) -> int:
+        return self.d_even_to_odd.cols
+
+    @property
+    def rank_odd(self) -> int:
+        return self.d_even_to_odd.rows
 
     def is_complex(self) -> bool:
         """Both composites vanish, tested on the integer products of the
@@ -215,7 +206,7 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
                          (1, 0): _kron(-left.A, rp, True), (1, 1): _kron(right.A, r)})
     d_oe = differential({(0, 0): _kron(right.A, r), (0, 1): _kron(left.B, rp, True),
                          (1, 0): _kron(left.A, rp, True), (1, 1): _kron(right.B, r)})
-    complex_ = TwoPeriodicComplex(total, total, d_eo, d_oe)
+    complex_ = TwoPeriodicComplex(d_eo, d_oe)
     if not complex_.is_complex():
         raise InternalCheckError("hom complex differentials do not compose to zero")
     return complex_
@@ -235,22 +226,17 @@ def _tensor_map(m: PolyMatrix, s: int) -> PolyMatrix:
 def _module_relation_vectors(n_module: ModulePresentation,
                              blocks: int) -> list[FreeModuleElement]:
     """Relations of N^blocks over Q: each relation of N placed in each block,
-    plus f times every coordinate when N is an R module."""
+    plus f times every coordinate."""
     s = n_module.ambient_rank
-    base = [rel.components for rel in n_module.relations]
-    if n_module.over == "R":
-        f_s = PolyMatrix.scalar(n_module.potential, s)
-        base += [f_s.row(i) for i in range(s)]
-    if not base:
-        return []
-    pad = (Polynomial.zero(base[0][0].ring),) * s
+    f_s = PolyMatrix.scalar(n_module.potential, s)
+    base = [rel.components for rel in n_module.relations] + [f_s.row(i) for i in range(s)]
+    pad = (Polynomial.zero(n_module.potential.ring),) * s
     return [FreeModuleElement(pad * b + comps + pad * (blocks - 1 - b))
             for b in range(blocks) for comps in base]
 
 
 def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
-                      module: ModulePresentation | None = None,
-                      order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
+                      module: ModulePresentation | None = None) -> tuple[int, int]:
     """Exact Q dimensions (ker d_eo / im d_oe, ker d_oe / im d_eo) of a two
     periodic complex, or of the complex tensored with a module N.
 
@@ -261,7 +247,8 @@ def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
     acts as m (x) I_s, and the relations of N in each of its m.rows target
     blocks go in as untagged rows: the kernel becomes the preimage of the
     relations, which holds those over the source, and the image takes in
-    the relations over the target.
+    the relations over the target. The dimensions do not depend on the term
+    order; the bases are built under degrevlex.
     """
     def kernel_and_image(m: PolyMatrix):
         # only these two outlive the run, so one augmented basis is alive at a time
@@ -272,22 +259,20 @@ def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
         if not m.cols:
             return [], []
         aug = _AugmentedBasis([FreeModuleElement(m.column(j)) for j in range(m.cols)],
-                              order, relations)
+                              DEGREVLEX, relations)
         return aug.kernel, aug.image
 
     ker_eo, im_eo = kernel_and_image(d_eo)
     ker_oe, im_oe = kernel_and_image(d_oe)
-    return (_leading_gap(ker_eo, im_oe, order), _leading_gap(ker_oe, im_eo, order))
+    return _leading_gap(ker_eo, im_oe), _leading_gap(ker_oe, im_eo)
 
 
-def homology_dimensions(c: TwoPeriodicComplex,
-                        order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
+def homology_dimensions(c: TwoPeriodicComplex) -> tuple[int, int]:
     """Exact Q dimensions (h_even, h_odd) of the complex homology."""
-    return periodic_homology(c.d_even_to_odd, c.d_odd_to_even, order=order)
+    return periodic_homology(c.d_even_to_odd, c.d_odd_to_even)
 
 
-def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
-                order: MonomialOrder = DEGREVLEX) -> tuple[int, int]:
+def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation) -> tuple[int, int]:
     """Stable (Tor_even, Tor_odd) of coker(A) against N over R = Q[x]/(f).
 
     The free resolution of coker(A) over R is the two periodic complex with
@@ -296,8 +281,6 @@ def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation,
     periodic_homology(B, A, N), two Buchberger runs in all. Structural two
     periodicity makes the next window literally the same matrices.
     """
-    if n_module.over != "R":
-        raise ValueError("Tor is taken over R; presentation must be over R")
     if n_module.potential != mf.potential:
         raise ValueError("factorization and module have different potentials")
-    return periodic_homology(mf.B, mf.A, n_module, order)
+    return periodic_homology(mf.B, mf.A, n_module)

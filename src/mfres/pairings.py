@@ -32,7 +32,9 @@ factorization's own, or one found by syzygy steps). herbrand_difference is
 the Ext counterpart, stable Ext^even - Ext^odd of coker(A) against coker(A')
 over R: the Euler pairing's number by a second route, which reads the
 homology of the resolution mapped into coker(A') and never builds the Hom
-complex. Both take their homology from mf.periodic_homology. Gram matrices
+complex. Both take their homology from mf.periodic_homology. These are Q
+dimensions, which no term order changes, so none of these functions takes
+one: resolutions and homology run under degrevlex. Gram matrices
 of either pairing over a list of inputs are assembled entry by entry and
 certified positive semidefinite, when they are, by a symmetric Bareiss
 elimination on ints with largest diagonal pivoting; the kernel basis it
@@ -213,15 +215,13 @@ def residue_pairing(rf: ResidueFunctional, a: DifferentialForm,
 # ---------------------------------------------------------------------------
 # Euler pairing and the index identity
 
-def euler_pairing(x: MatrixFactorization, y: MatrixFactorization,
-                  order: MonomialOrder = DEGREVLEX) -> int:
+def euler_pairing(x: MatrixFactorization, y: MatrixFactorization) -> int:
     """chi(x, y): even minus odd homology of the Hom complex."""
-    h_even, h_odd = homology_dimensions(hom_complex(x, y), order)
+    h_even, h_odd = homology_dimensions(hom_complex(x, y))
     return h_even - h_odd
 
 
-def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization,
-                        order: MonomialOrder = DEGREVLEX) -> int:
+def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization) -> int:
     """dim Ext^even - dim Ext^odd of the stable Ext pair of coker(A) against
     coker(A') over R, a second route to chi(x, y) that builds no Hom complex.
 
@@ -232,7 +232,7 @@ def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization,
     if x.potential != y.potential:
         raise FactorizationError("factorizations have different potentials")
     e_even, e_odd = periodic_homology(x.A.transpose(), x.B.transpose(),
-                                      cokernel_presentation(y), order)
+                                      cokernel_presentation(y))
     return e_even - e_odd
 
 
@@ -254,16 +254,15 @@ class HrrReport:
     equal: bool
 
 
-def hrr_check(left: MatrixFactorization, right: MatrixFactorization,
-              order: MonomialOrder = DEGREVLEX) -> HrrReport:
+def hrr_check(left: MatrixFactorization, right: MatrixFactorization) -> HrrReport:
     """Both sides of chi = sign * res(ch ch'), computed independently."""
     if left.potential != right.potential:
         raise MfresError("factorizations have different potentials")
     nvars = len(left.potential.ring)
     if nvars % 2 != 0:
         raise ParityError("index identity needs an even number of variables")
-    chi = euler_pairing(left, right, order)
-    alg = milnor_algebra(left.potential, order)
+    chi = euler_pairing(left, right)
+    alg = milnor_algebra(left.potential)
     rf = residue_functional(alg)
     res = residue_pairing(rf, chern_character_form(left), chern_character_form(right))
     sign = -1 if (nvars * (nvars - 1) // 2) % 2 else 1
@@ -289,18 +288,17 @@ def _columns(cols: Sequence[FreeModuleElement], rows: int) -> PolyMatrix:
     return PolyMatrix(rows, len(cols), tuple(c.components[i] for i in range(rows) for c in cols))
 
 
-def _syzygy_step(d: PolyMatrix, f: Polynomial, order: MonomialOrder) -> PolyMatrix:
+def _syzygy_step(d: PolyMatrix, f: Polynomial) -> PolyMatrix:
     """The next map of the resolution over R: its columns are the canonical
     generators of the syzygies over R of the columns of d, the preimage of
     f Q[x]^rows in Q[x]^cols."""
     f_rows = PolyMatrix.scalar(f, d.rows)
-    syz = _AugmentedBasis([FreeModuleElement(d.column(j)) for j in range(d.cols)], order,
+    syz = _AugmentedBasis([FreeModuleElement(d.column(j)) for j in range(d.cols)], DEGREVLEX,
                           [FreeModuleElement(f_rows.column(i)) for i in range(d.rows)]).syzygies()
     return _columns(syz, d.cols)
 
 
-def hochster_theta(m: PairingInput, n_module: ModulePresentation,
-                   order: MonomialOrder = DEGREVLEX) -> int:
+def hochster_theta(m: PairingInput, n_module: ModulePresentation) -> int:
     """theta(M, N) = stable even Tor length minus stable odd Tor length.
 
     A factorization input uses its own two periodic resolution directly. A raw
@@ -308,16 +306,13 @@ def hochster_theta(m: PairingInput, n_module: ModulePresentation,
     two steps apart coincide literally, d_p = d_(p+2); the homology of the
     periodic complex (d_p, d_(p+1)) tensored with N is then the stable pair
     (Tor_p, Tor_(p+1)), and the parity of p decides which length is the even
-    one.
+    one. The lengths are Q dimensions, so no term order enters: the syzygy
+    steps and the window run under degrevlex.
     """
-    if n_module.over != "R":
-        raise ValueError("theta needs the right input as an R presentation")
     if isinstance(m, MatrixFactorization):
-        t_even, t_odd = tor_lengths(m, n_module, order)
+        t_even, t_odd = tor_lengths(m, n_module)
         return t_even - t_odd
 
-    if m.over != "R":
-        raise ValueError("theta needs R presentations")
     f = m.potential
     if f != n_module.potential:
         raise MfresError("presentations have different potentials")
@@ -326,14 +321,14 @@ def hochster_theta(m: PairingInput, n_module: ModulePresentation,
     for _ in range(2, _RESOLUTION_CAP + 1):
         if not maps[-1].cols:
             return 0  # resolution terminated; stable Tor vanishes
-        maps.append(_syzygy_step(maps[-1], f, order))
+        maps.append(_syzygy_step(maps[-1], f))
         if len(maps) >= 3 and maps[-1] == maps[-3]:
             break
     else:
         raise MfresError("resolution did not become two periodic within the step cap; "
                          "pass a matrix factorization instead")
     p = len(maps) - 2
-    tor_p, tor_next = periodic_homology(maps[p - 1], maps[p], n_module, order)
+    tor_p, tor_next = periodic_homology(maps[p - 1], maps[p], n_module)
     return tor_p - tor_next if p % 2 == 0 else tor_next - tor_p
 
 
@@ -360,9 +355,9 @@ def _signed_theta_sign(nvars: int) -> int:
 PAIRINGS = ("euler", "theta", "signed_theta")
 
 
-def gram_matrix(items: Sequence[PairingInput], pairing: str,
-                order: MonomialOrder = DEGREVLEX) -> GramMatrix:
-    """Symmetric pairing matrix over the items, one entry at a time."""
+def gram_matrix(items: Sequence[PairingInput], pairing: str) -> GramMatrix:
+    """Symmetric pairing matrix over the items, one entry at a time; each
+    entry is an order free difference of Q dimensions."""
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     if not items:
@@ -377,7 +372,7 @@ def gram_matrix(items: Sequence[PairingInput], pairing: str,
                 raise MfresError("euler gram entries need matrix factorizations")
         for i in range(n):
             for j in range(n):
-                grid[i][j] = euler_pairing(items[i], items[j], order)
+                grid[i][j] = euler_pairing(items[i], items[j])
         for i in range(n):
             for j in range(i):
                 if grid[i][j] != grid[j][i]:
@@ -386,21 +381,13 @@ def gram_matrix(items: Sequence[PairingInput], pairing: str,
         presentations = [_as_presentation(it) for it in items]
         for i in range(n):
             for j in range(i, n):
-                grid[i][j] = grid[j][i] = hochster_theta(items[i], presentations[j], order)
+                grid[i][j] = grid[j][i] = hochster_theta(items[i], presentations[j])
     if pairing == "signed_theta":
-        nvars = len(_potential_of(items[0]).ring)
+        nvars = len(items[0].potential.ring)
         sign = _signed_theta_sign(nvars)
         grid = [[sign * v for v in row] for row in grid]
     entries = tuple(tuple(row) for row in grid)
     return GramMatrix(labels=labels, pairing=pairing, entries=entries)
-
-
-def _potential_of(item: PairingInput) -> Polynomial:
-    if isinstance(item, MatrixFactorization):
-        return item.potential
-    if item.potential is None:
-        raise MfresError("presentation has no potential")
-    return item.potential
 
 
 # largest Gram matrix accepted by is_positive_semidefinite: the elimination

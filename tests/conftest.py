@@ -43,7 +43,6 @@ def make_module(potential: str, relations, ambient_rank: int = 1,
         FreeModuleElement(tuple(parse_polynomial(c, variables) for c in gen))
         for gen in relations)
     return ModulePresentation(ambient_rank=ambient_rank, relations=rels,
-                              over="R",
                               potential=parse_polynomial(potential, variables),
                               label=label)
 

@@ -104,6 +104,20 @@ class TestEnvelopes:
                               "--left", "C1", "--right", "C1")
         assert lex_env["results"] == drl_env["results"]
 
+    @pytest.mark.parametrize("command, options", [
+        ("theta", ["--left", "M", "--right", "N"]),
+        ("gram", ["--pairing", "theta", "--items", "M,N"]),
+    ], ids=["theta", "gram"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_lex_theta_is_the_degrevlex_output(self, capsys, command, options, fmt):
+        # M = coker(1, x^2) over x^3 + y^2: a lex resolution of it missed the
+        # step cap, so theta under --order lex used to exit 1
+        corpus = str(DATA / "lex_theta.json")
+        lex, drl = (run_cli(capsys, "--format", fmt, "--order", order, command, corpus, *options)
+                    for order in ("lex", "degrevlex"))
+        assert lex == drl
+        assert lex[0] == 0
+
 
 class TestGramAndPsd:
     def test_gram_entries(self, capsys):

@@ -150,7 +150,7 @@ class TestHomologyChecks:
 
     def test_composite_not_zero_is_a_containment_error(self):
         # multiplication by x is injective, so im(y) is outside ker(x) = 0
-        c = TwoPeriodicComplex(1, 1, matrix([["x"]]), matrix([["y"]]))
+        c = TwoPeriodicComplex(matrix([["x"]]), matrix([["y"]]))
         with pytest.raises(ContainmentError):
             homology_dimensions(c)
 
@@ -163,21 +163,27 @@ class TestHomologyChecks:
     def test_one_nonzero_composite_is_not_a_complex(self, m, n):
         m, n = matrix(m), matrix(n)
         assert (m @ n).is_zero() and not (n @ m).is_zero()
-        assert not TwoPeriodicComplex(2, 2, m, n).is_complex()
-        assert not TwoPeriodicComplex(2, 2, n, m).is_complex()
+        assert not TwoPeriodicComplex(m, n).is_complex()
+        assert not TwoPeriodicComplex(n, m).is_complex()
 
     def test_composites_that_cancel_are_a_complex(self):
         # m = [[u v, -u^2], [v^2, -u v]] with u = x/2, v = y/3 squares to zero
         m = matrix([["1/6*x*y", "-1/4*x^2"], ["1/9*y^2", "-1/6*x*y"]])
         assert (m @ m).is_zero()
-        assert TwoPeriodicComplex(2, 2, m, m).is_complex()
+        assert TwoPeriodicComplex(m, m).is_complex()
 
     def test_rank_zero_complex_has_no_homology(self):
         empty = PolyMatrix(0, 0, ())
-        assert homology_dimensions(TwoPeriodicComplex(0, 0, empty, empty)) == (0, 0)
+        assert homology_dimensions(TwoPeriodicComplex(empty, empty)) == (0, 0)
+
+    def test_ranks_come_from_the_even_to_odd_shape(self):
+        c = TwoPeriodicComplex(matrix([["x", "y"]]), matrix([["y"], ["-x"]]))
+        assert (c.rank_even, c.rank_odd) == (2, 1)
+        with pytest.raises(ValueError, match="odd-to-even"):
+            TwoPeriodicComplex(matrix([["x", "y"]]), matrix([["y", "-x"]]))
 
     def test_zero_differentials_are_infinite(self):
-        c = TwoPeriodicComplex(1, 1, matrix([["0"]]), matrix([["0"]]))
+        c = TwoPeriodicComplex(matrix([["0"]]), matrix([["0"]]))
         with pytest.raises(InfiniteQuotientError):
             homology_dimensions(c)
 
@@ -266,15 +272,8 @@ class TestTor:
         with pytest.raises(ValueError):
             tor_lengths(node_mf, other)
 
-    def test_requires_hypersurface_module(self, node_mf):
-        flat = make_module("x*y", [["x"]])
-        q_version = flat.__class__(ambient_rank=1, relations=flat.relations,
-                                   over="Q", potential=None)
-        with pytest.raises(ValueError):
-            tor_lengths(node_mf, q_version)
-
     def test_cokernel_presentation_columns(self, cubic_mf):
         pres = cokernel_presentation(cubic_mf)
         assert pres.ambient_rank == 1
-        assert pres.over == "R"
+        assert pres.potential == cubic_mf.potential
         assert pres.relations[0].components[0] == poly("x + y")
