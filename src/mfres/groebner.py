@@ -37,10 +37,20 @@ remainder, and an S-vector multiplies a and b by the cofactors lc(b)/g and
 lc(a)/g, g = gcd(lc(a), lc(b)). Each step is then the step of the monic
 computation over Q times a nonzero integer, so the run (pairs, reductions,
 leading terms) is the same, and the content is divided out only when a
-remainder joins the basis. Monic Fraction vectors are built only where the
-public functions return them, by dividing by a leading coefficient or a
-scale. The scale of one reduction is capped at MAX_COEFFICIENT_BITS, since
-runaway coefficient growth shows there first.
+remainder joins the basis. The scale of one reduction is capped at
+MAX_COEFFICIENT_BITS, since runaway coefficient growth shows there first.
+
+A term is one int too, packed as Monagan and Pearce pack monomials (CASC
+2007). Fields of FIELD_BITS bits, each topped by a guard bit, hold from the
+top the component as FIELD_LIMIT - 1 - comp, under degrevlex the partial
+sums e_0 + ... + e_j for j = n-1 down to 1, and the exponents e_0 ..
+e_(n-1). So int order is the term order (position over term; under
+degrevlex the degree, then larger partial sums, which is the reverse
+lexicographic tie-break), a product is a sum of ints, and in one component
+a divides b exactly when b - a sets no guard bit. Every term a run forms is
+checked for a set guard bit: a component, exponent or degree that reaches
+FIELD_LIMIT raises BudgetError. Tuples and Fractions remain at the public
+boundary: a run packs its inputs once and unpacks its outputs once.
 
 Syzygies, images, module membership, and coordinates all come from one
 construction: a Groebner basis of the augmented module generated by
@@ -70,12 +80,14 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from collections import Counter
 from itertools import product
-from operator import add, sub
+from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import BudgetError, ContainmentError, InfiniteQuotientError
-from .polyring import Monomial, Polynomial, Ring, degrevlex_key, lex_key
+from .polyring import Monomial, Polynomial, Ring, degrevlex_key
 
 Term = tuple[int, Monomial]  # (component, exponent vector)
 Vec = dict[Term, Fraction]
@@ -87,25 +99,16 @@ class MonomialOrder:
 
     name: str
 
+    def __post_init__(self):
+        if self.name not in ("degrevlex", "lex"):
+            raise ValueError(f"unknown order {self.name!r}")
+
     def mono_key(self, exps: Monomial) -> tuple:
-        if self.name == "degrevlex":
-            return degrevlex_key(exps)
-        if self.name == "lex":
-            return lex_key(exps)
-        raise ValueError(f"unknown order {self.name!r}")
+        return degrevlex_key(exps) if self.name == "degrevlex" else exps
 
     def term_key(self, term: Term) -> tuple:
         comp, exps = term
         return (-comp, self.mono_key(exps))
-
-    def heap_key(self, term: Term) -> tuple:
-        """Reverse of term_key: a min-heap on it pops the leading term first."""
-        comp, exps = term
-        if self.name == "degrevlex":
-            return (comp, -sum(exps), exps[::-1])
-        if self.name == "lex":
-            return (comp, tuple(-e for e in exps))
-        raise ValueError(f"unknown order {self.name!r}")
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -113,11 +116,8 @@ LEX = MonomialOrder("lex")
 
 
 def get_order(name: str) -> MonomialOrder:
-    if name == "degrevlex":
-        return DEGREVLEX
-    if name == "lex":
-        return LEX
-    raise ValueError(f"unknown order {name!r}")
+    order = MonomialOrder(name)  # ValueError on an unknown name
+    return DEGREVLEX if order == DEGREVLEX else LEX
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,54 @@ def vec_to_element(vec: Vec, rank: int, ring: Ring) -> FreeModuleElement:
 # ---------------------------------------------------------------------------
 # low level vector ops
 
-# Inside the Groebner core vectors have int coefficients. A divisor is a
-# primitive integer vector (its coefficients have gcd 1) split into its
-# leading term, its leading coefficient, which is positive, and the rest;
-# _reduce takes divisors grouped by the component of their leading term.
-IntVec = dict[Term, int]
-Divisor = tuple[Term, int, tuple[tuple[Term, int], ...]]
+# Width of a field of a packed term, whose top bit is its guard.
+FIELD_BITS = 16
+FIELD_LIMIT = 1 << (FIELD_BITS - 1)
+_OVERFLOW = f"a component, exponent or degree reaches FIELD_LIMIT = {FIELD_LIMIT}"
+
+
+class _Packing:
+    """Module terms over n variables as ints under one order."""
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        self.graded = order.name == "degrevlex"
+        sums = max(nvars - 1, 0) if self.graded else 0
+        # e_k lies in field n-1-k, the partial sum e_0 + ... + e_j (j >= 1) in field n-1+j
+        self.offsets = [FIELD_BITS * (nvars - 1 - k) for k in range(nvars)]
+        self.weights = [(1 << s) + sum(1 << FIELD_BITS * (nvars - 1 + j)
+                                       for j in range(max(k, 1), sums + 1))
+                        for k, s in enumerate(self.offsets)]  # x_k packed
+        self.shift = FIELD_BITS * (nvars + sums)  # the component field
+        self.guards = sum(1 << FIELD_BITS * (f + 1) - 1 for f in range(nvars + sums))
+
+    def pack(self, comp: int, exps: Monomial) -> int:
+        if max(comp, sum(exps) if self.graded else max(exps, default=0)) >= FIELD_LIMIT:
+            raise BudgetError(_OVERFLOW)
+        return (FIELD_LIMIT - 1 - comp << self.shift) + sum(map(mul, exps, self.weights))
+
+    def unpack(self, packed: int) -> Term:
+        return (FIELD_LIMIT - 1 - (packed >> self.shift),
+                tuple(packed >> s & (1 << FIELD_BITS) - 1 for s in self.offsets))
+
+
+_packing = lru_cache(maxsize=16)(_Packing)  # built once per order and variable count
+
+
+# Inside the Groebner core vectors map packed terms to int coefficients. A
+# divisor is a primitive integer vector (its coefficients have gcd 1) split
+# into its leading term, its leading coefficient, which is positive, and the
+# rest; _reduce takes divisors grouped by their component field.
+IntVec = dict[int, int]
+Divisor = tuple[int, int, tuple[tuple[int, int], ...]]
 Divisors = dict[int, list[Divisor]]
+
+
+class _Basis(list):
+    """Divisors, with the packing their terms are written in."""
+
+    def __init__(self, packing: _Packing, divisors: Iterable[Divisor] = ()):
+        super().__init__(divisors)
+        self.packing = packing
 
 
 # Budget on pseudo-division: the bits of the scale one _reduce call
@@ -191,29 +232,13 @@ Divisors = dict[int, list[Divisor]]
 MAX_COEFFICIENT_BITS = 8192
 
 
-def _lt(vec: Vec, order: MonomialOrder) -> Term:
-    return max(vec, key=order.term_key)
-
-
-def _divides(small: Term, big: Term) -> bool:
-    return small[0] == big[0] and all(a <= b for a, b in zip(small[1], big[1]))
-
-
-def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def _integral(vec: Vec) -> tuple[IntVec, int]:
-    """(den * vec, den) for the least den > 0 that clears every denominator."""
+def _integral(vec: Vec, packing: _Packing) -> tuple[IntVec, int]:
+    """(den * vec, den), packed, for the least den > 0 clearing all denominators."""
     den = math.lcm(*(c.denominator for c in vec.values()))
-    return {t: c.numerator * (den // c.denominator) for t, c in vec.items()}, den
+    return {packing.pack(*t): c.numerator * (den // c.denominator) for t, c in vec.items()}, den
 
 
-def _divisor(vec: IntVec, lt: Term) -> Divisor:
+def _divisor(vec: IntVec, lt: int) -> Divisor:
     """vec divided by its content, signed so that the coefficient at lt is
     positive, split into lt, that coefficient and the rest."""
     g = math.gcd(*vec.values())
@@ -222,52 +247,48 @@ def _divisor(vec: IntVec, lt: Term) -> Divisor:
     return lt, vec[lt] // g, tuple((t, c // g) for t, c in vec.items() if t != lt)
 
 
-def _monic(d: Divisor) -> Vec:
+def _monic(d: Divisor, packing: _Packing) -> Vec:
     """The divisor scaled to leading coefficient 1, leading term first."""
-    lt, lc, tail = d
-    return {lt: Fraction(1), **{t: Fraction(c, lc) for t, c in tail}}
+    unpack = packing.unpack
+    return {unpack(d[0]): Fraction(1), **{unpack(t): Fraction(c, d[1]) for t, c in d[2]}}
 
 
-def _by_component(divisors: Iterable[Divisor]) -> Divisors:
+def _by_component(divisors: Iterable[Divisor], shift: int) -> Divisors:
     out: Divisors = {}
     for d in divisors:
-        out.setdefault(d[0][0], []).append(d)
+        out.setdefault(d[0] >> shift, []).append(d)
     return out
 
 
-def _degree(d: Divisor) -> int:
-    (_, exps), _, tail = d
-    return max([sum(exps)] + [sum(e) for (_, e), _ in tail])
-
-
-def _reduce(vec: IntVec, divisors: Divisors, order: MonomialOrder) -> tuple[IntVec, int]:
+def _reduce(vec: IntVec, divisors: Divisors, packing: _Packing) -> tuple[IntVec, int]:
     """Full normal form by pseudo-division: (remainder, scale) with scale > 0
     and scale * vec congruent to the remainder, every term of which escapes
     every divisor.
 
-    The terms still to be reduced live in `work`, and each also sits in a
-    min-heap under its heap_key, computed once when the term enters, so the
-    leading term is a pop away. A subtraction that cancels a term removes it
-    from `work` only; its heap entry is skipped when popped. To cancel c*t by
-    a divisor whose leading coefficient lc does not divide c, work, remainder
-    and scale are first multiplied by lc / gcd(c, lc); the divisor's leading
-    term then cancels t exactly, so only its tail is subtracted. Terms leave
-    in descending order, which is the order of the remainder's keys.
+    The terms still to be reduced live in `work`, and each also sits,
+    negated, in a heapq min-heap, so the leading term is a pop away. A
+    subtraction that cancels a term removes it from `work` only; its heap
+    entry is skipped when popped. To cancel c*t by a divisor whose leading
+    coefficient lc does not divide c, work, remainder and scale are first
+    multiplied by lc / gcd(c, lc); the divisor's leading term then cancels t
+    exactly, so only its tail, shifted by one addition, is subtracted. Terms
+    leave in descending order, which is the order of the remainder's keys.
     """
-    key = order.heap_key
+    shift, guards = packing.shift, packing.guards
     work = dict(vec)
-    heap = [(key(t), t) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     remainder: IntVec = {}
     scale = 1
     while heap:
-        term = heapq.heappop(heap)[1]
+        term = -heapq.heappop(heap)
         coeff = work.pop(term, None)
         if coeff is None:
             continue
-        exps = term[1]
-        for (_, dexps), lc, tail in divisors.get(term[0], ()):
-            if all(a <= b for a, b in zip(dexps, exps)):
+        if term & guards:  # a shift of the input or of a tail overflowed
+            raise BudgetError(_OVERFLOW)
+        for lt, lc, tail in divisors.get(term >> shift, ()):
+            if not (step := term - lt) & guards:
                 if coeff % lc:
                     g = math.gcd(coeff, lc)
                     m = lc // g
@@ -282,13 +303,12 @@ def _reduce(vec: IntVec, divisors: Divisors, order: MonomialOrder) -> tuple[IntV
                     factor = -(coeff // g)
                 else:
                     factor = -(coeff // lc)
-                shift = _mono_sub(exps, dexps)
-                for (c, e), k in tail:
-                    t = (c, tuple(map(add, e, shift)))
+                for t, k in tail:
+                    t += step
                     old = work.get(t)
                     if old is None:
                         work[t] = factor * k
-                        heapq.heappush(heap, (key(t), t))
+                        heapq.heappush(heap, -t)
                     else:
                         new = old + factor * k
                         if new:
@@ -304,18 +324,19 @@ def _reduce(vec: IntVec, divisors: Divisors, order: MonomialOrder) -> tuple[IntV
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> IntVec:
+def _s_vector(a: Divisor, b: Divisor, lcm: int) -> IntVec:
     """lc(b)/g * lcm/lt(a) * a - lc(a)/g * lcm/lt(b) * b with g the gcd of
-    the two leading coefficients; the leading terms cancel."""
-    (_, ea), lca, tail_a = a
-    (_, eb), lcb, tail_b = b
+    the two leading coefficients; the leading terms cancel. _reduce checks
+    its terms for overflow."""
+    lta, lca, tail_a = a
+    ltb, lcb, tail_b = b
     g = math.gcd(lca, lcb)
     ma, mb = lcb // g, lca // g
-    shift = _mono_sub(lcm, ea)
-    s: IntVec = {(c, tuple(map(add, e, shift))): ma * k for (c, e), k in tail_a}
-    shift = _mono_sub(lcm, eb)
-    for (c, e), k in tail_b:
-        t = (c, tuple(map(add, e, shift)))
+    step = lcm - lta
+    s: IntVec = {t + step: ma * k for t, k in tail_a}
+    step = lcm - ltb
+    for t, k in tail_b:
+        t += step
         new = s.get(t, 0) - mb * k
         if new:
             s[t] = new
@@ -324,82 +345,97 @@ def _s_vector(a: Divisor, b: Divisor, lcm: Monomial) -> IntVec:
     return s
 
 
-def _buchberger(vecs: list[Vec], ambient_rank: int, order: MonomialOrder) -> list[Divisor]:
+def _seeds(vecs: list[Vec], packing: _Packing) -> list[tuple[Divisor, int]]:
+    """The nonzero inputs as divisors with their sugar, the largest degree
+    of a term, sorted as monic vectors, so the run depends neither on the
+    caller's ordering nor on how the inputs are scaled: by leading term,
+    and seeds of one leading term by their monic tails, terms descending."""
+    seeds = []
+    for v in filter(None, vecs):
+        ints = _integral(v, packing)[0]
+        seeds.append((_divisor(ints, max(ints)), max(sum(exps) for _, exps in v)))
+    lts = Counter(d[0] for d, _ in seeds)
+    seeds.sort(key=lambda s: (s[0][0], lts[s[0][0]] > 1 and [
+        (packing.unpack(t), Fraction(c, s[0][1])) for t, c in sorted(s[0][2], reverse=True)]))
+    return seeds
+
+
+def _buchberger(vecs: list[Vec], ambient_rank: int, packing: _Packing) -> _Basis:
     """Minimal Groebner basis of the submodule generated by vecs, sorted
     descending by leading term; tails are left as the run made them."""
-    seeds = [_divisor(_integral(v)[0], _lt(v, order)) for v in vecs if v]
-    # sorted as monic vectors, so the run depends neither on the caller's
-    # ordering nor on how the inputs are scaled
-    seeds.sort(key=lambda d: (order.term_key(d[0]), sorted(
-        ((t, Fraction(c, d[1])) for t, c in d[2]),
-        key=lambda kv: order.term_key(kv[0]), reverse=True)))
-
-    basis: list[Divisor] = []
+    shift, guards = packing.shift, packing.guards
+    basis = _Basis(packing)
     divisors: Divisors = {}  # the same elements, by component
     sugars: list[int] = []
-    queued: dict[tuple[int, int], Monomial] = {}  # pair -> lcm; the heap may hold more
-    heap: list[tuple[int, tuple, int, int]] = []
+    lead: dict[int, dict[int, Monomial]] = {}  # by component: index -> leading exponents
+    queued: dict[int, dict[tuple[int, int], int]] = {}  # and pair -> lcm; the heap may hold more
+    heap: list[tuple[int, int, int, int]] = []
 
     def insert(d: Divisor, sugar: int) -> None:
         k = len(basis)
-        comp, exps = d[0]
+        lt = d[0]
+        key = lt >> shift
+        comp, exps = packing.unpack(lt)
         basis.append(d)
-        divisors.setdefault(comp, []).append(d)
+        divisors.setdefault(key, []).append(d)
         sugars.append(sugar)
+        same, pairs = lead.setdefault(key, {}), queued.setdefault(key, {})
+
+        def lcm_with(i: int) -> int:
+            return packing.pack(comp, tuple(map(max, same[i], exps)))
+
         # criterion B: lt(h) | lcm(i, j) and lcm(i, j) differs from both lcm(i, h), lcm(j, h)
-        for (i, j), lcm in list(queued.items()):
-            if (basis[i][0][0] == comp and all(a <= b for a, b in zip(exps, lcm))
-                    and lcm != _mono_lcm(basis[i][0][1], exps)
-                    and lcm != _mono_lcm(basis[j][0][1], exps)):
-                del queued[(i, j)]
-        classes: dict[Monomial, list[int]] = {}
-        for i in range(k):
-            if basis[i][0][0] == comp:
-                classes.setdefault(_mono_lcm(basis[i][0][1], exps), []).append(i)
+        for (i, j), lcm in list(pairs.items()):
+            if not (lcm - lt) & guards and lcm != lcm_with(i) and lcm != lcm_with(j):
+                del pairs[(i, j)]
+        classes: dict[int, list[int]] = {}
+        for i in same:
+            classes.setdefault(lcm_with(i), []).append(i)
+        same[k] = exps
         for lcm, members in classes.items():
             # criterion M: another new lcm properly divides this one
-            if any(other != lcm and all(a <= b for a, b in zip(other, lcm)) for other in classes):
-                continue
-            # product criterion, valid for ideals only, never for module S-pairs;
-            # one coprime pair discards its whole class
-            if ambient_rank == 1 and any(
-                    lcm == tuple(map(add, basis[i][0][1], exps)) for i in members):
+            if any(other != lcm and not (lcm - other) & guards for other in classes):
                 continue
             i = members[0]  # criterion F: one pair per lcm
-            pair_sugar = max(sugars[i] + sum(lcm) - sum(basis[i][0][1]),
-                             sugar + sum(lcm) - sum(exps))
-            queued[(i, k)] = lcm
-            heapq.heappush(heap, (pair_sugar, order.term_key((comp, lcm)), i, k))
+            degree = sum(map(max, same[i], exps))
+            # product criterion, valid for ideals only, never for module S-pairs;
+            # one coprime pair discards its whole class
+            if ambient_rank == 1 and any(degree == sum(same[j]) + sum(exps) for j in members):
+                continue
+            pair_sugar = max(sugars[i] + degree - sum(same[i]), sugar + degree - sum(exps))
+            pairs[(i, k)] = lcm
+            heapq.heappush(heap, (pair_sugar, lcm, i, k))
 
-    for d in seeds:
-        insert(d, _degree(d))
+    for d, sugar in _seeds(vecs, packing):
+        insert(d, sugar)
 
     while heap:
-        sugar, _, i, j = heapq.heappop(heap)
-        lcm = queued.pop((i, j), None)
-        if lcm is None:
+        sugar, lcm, i, j = heapq.heappop(heap)
+        if queued[lcm >> shift].pop((i, j), None) is None:
             continue  # dropped by criterion B
-        h, _ = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, order)
+        h, _ = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, packing)
         if h:
             insert(_divisor(h, next(iter(h))), sugar)  # a remainder lists its leading term first
 
     kept: Divisors = {}  # one element per minimal leading term
-    for d in sorted(basis, key=lambda d: order.term_key(d[0])):
-        if not any(_divides(lt, d[0]) for lt, _, _ in kept.get(d[0][0], ())):
-            kept.setdefault(d[0][0], []).append(d)
-    return [d for comp in sorted(kept) for d in reversed(kept[comp])]
+    for d in sorted(basis, key=itemgetter(0)):
+        if not any(not (d[0] - m[0]) & guards for m in kept.get(d[0] >> shift, ())):
+            kept.setdefault(d[0] >> shift, []).append(d)
+    return _Basis(packing, sorted((d for ds in kept.values() for d in ds), key=itemgetter(0),
+                                  reverse=True))
 
 
-def _autoreduce(basis: list[Divisor], order: MonomialOrder) -> list[Divisor]:
+def _autoreduce(basis: _Basis) -> _Basis:
     """The reduced basis from a minimal one, in its order: each tail
     reduced by the whole basis, which leaves the unique reduced basis of the
     submodule up to scaling. An element's own leading term divides none of
     its tail terms, nor any term the reduction brings in, all being smaller.
     """
-    divisors = _by_component(basis)
-    final = []
+    packing = basis.packing
+    divisors = _by_component(basis, packing.shift)
+    final = _Basis(packing)
     for lt, lc, tail in basis:
-        rest, scale = _reduce(dict(tail), divisors, order)
+        rest, scale = _reduce(dict(tail), divisors, packing)
         final.append(_divisor({lt: lc * scale, **rest}, lt))
     return final
 
@@ -416,10 +452,10 @@ class GroebnerBasis:
     order: MonomialOrder
     generators: tuple[FreeModuleElement, ...]
     # the generators as primitive integer divisors, in the same order
-    divisors: tuple[Divisor, ...] = field(repr=False, compare=False)
+    divisors: _Basis = field(repr=False, compare=False)
 
     def leading_terms(self) -> list[Term]:
-        return [lt for lt, _, _ in self.divisors]
+        return [self.divisors.packing.unpack(lt) for lt, _, _ in self.divisors]
 
 
 @dataclass(frozen=True)
@@ -446,11 +482,12 @@ def groebner_basis(generators: Sequence[GenLike],
     else:
         if ambient_rank is None or ring is None:
             raise ValueError("empty input needs explicit ambient_rank and ring")
-    divisors = _autoreduce(_buchberger([element_to_vec(e) for e in nonzero], ambient_rank, order),
-                           order)
-    gens = tuple(vec_to_element(_monic(d), ambient_rank, ring) for d in divisors)
+    packing = _packing(order, len(ring))
+    divisors = _autoreduce(_buchberger([element_to_vec(e) for e in nonzero], ambient_rank,
+                                       packing))
+    gens = tuple(vec_to_element(_monic(d, packing), ambient_rank, ring) for d in divisors)
     return GroebnerBasis(ring=ring, ambient_rank=ambient_rank, order=order, generators=gens,
-                         divisors=tuple(divisors))
+                         divisors=divisors)
 
 
 def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial:
@@ -458,10 +495,12 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
     el = _to_element(x)
     if el.rank != gb.ambient_rank:
         raise ValueError("rank mismatch with basis")
-    vec, den = _integral(element_to_vec(el))
-    red, scale = _reduce(vec, _by_component(gb.divisors), gb.order)
+    packing = gb.divisors.packing
+    vec, den = _integral(element_to_vec(el), packing)
+    red, scale = _reduce(vec, _by_component(gb.divisors, packing.shift), packing)
     scale *= den
-    out = vec_to_element({t: Fraction(c, scale) for t, c in red.items()}, gb.ambient_rank, el.ring)
+    out = vec_to_element({packing.unpack(t): Fraction(c, scale) for t, c in red.items()},
+                         gb.ambient_rank, el.ring)
     if isinstance(x, Polynomial):
         return out.components[0]
     return out
@@ -487,34 +526,32 @@ class _AugmentedBasis:
         self.rank = gens[0].rank
         self.ring = gens[0].ring
         self.count = len(gens)
-        self.order = order
-        zero_exps = tuple(0 for _ in self.ring)
+        self.packing = packing = _packing(order, len(self.ring))
         aug: list[Vec] = [element_to_vec(n) for n in relations]
         for i, g in enumerate(gens):
             vec = element_to_vec(g)
-            vec[(self.rank + i, zero_exps)] = Fraction(1)
+            vec[(self.rank + i, (0,) * len(self.ring))] = Fraction(1)
             aug.append(vec)
-        basis = _buchberger(aug, self.rank + self.count, order)
-        self.divisors = _by_component(basis)
-        r = self.rank
-        self.kernel: list[Divisor] = []
-        self.image: list[Divisor] = []
-        for (comp, exps), lc, tail in basis:
-            if comp >= r:
-                self.kernel.append(((comp - r, exps), lc,
-                                    tuple(((c - r, e), k) for (c, e), k in tail)))
+        basis = _buchberger(aug, self.rank + self.count, packing)
+        self.divisors = _by_component(basis, packing.shift)
+        # terms from `first` up lie in the first block; adding `tag` takes c to c - rank
+        first, tag = FIELD_LIMIT - self.rank << packing.shift, self.rank << packing.shift
+        self.kernel, self.image = _Basis(packing), _Basis(packing)
+        for lt, lc, tail in basis:
+            if lt < first:
+                self.kernel.append((lt + tag, lc, tuple((t + tag, k) for t, k in tail)))
             else:
-                first = {t: k for t, k in tail if t[0] < r}
-                self.image.append(_divisor({(comp, exps): lc, **first}, (comp, exps)))
+                self.image.append(_divisor({lt: lc, **{t: k for t, k in tail if t >= first}}, lt))
 
     def syzygies(self) -> list[FreeModuleElement]:
-        return [vec_to_element(_monic(d), self.count, self.ring)
-                for d in _autoreduce(self.kernel, self.order)]
+        return [vec_to_element(_monic(d, self.packing), self.count, self.ring)
+                for d in _autoreduce(self.kernel)]
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
-        vec, den = _integral(element_to_vec(el))
-        red, scale = _reduce(vec, self.divisors, self.order)
+        vec, den = _integral(element_to_vec(el), self.packing)
+        red, scale = _reduce(vec, self.divisors, self.packing)
+        red = {self.packing.unpack(t): c for t, c in red.items()}
         if any(comp < self.rank for comp, _ in red):
             return None
         # s * (el, 0) reduces to (0, w) with el = -sum w_i g_i / s
@@ -605,30 +642,35 @@ def _leading_gap(kernel: list[Divisor], image: list[Divisor]) -> int:
     variable at a time, counts the gap: a term outside LT(I) has all its
     divisors above m outside LT(I) too, so stopping at LT(I) misses none.
     """
-    divisors = _by_component(kernel)
+    # an empty kernel may be a plain list; with no divisors any packing serves
+    packing = kernel.packing if kernel else _packing(DEGREVLEX, 0)
+    shift, guards = packing.shift, packing.guards
+    divisors = _by_component(kernel, shift)
     for lt, lc, tail in image:
-        if _reduce({lt: lc, **dict(tail)}, divisors, DEGREVLEX)[0]:
+        if _reduce({lt: lc, **dict(tail)}, divisors, packing)[0]:
             raise ContainmentError("image generators are not in the kernel span")
-    walls: dict[int, list[Monomial]] = {}
-    for (comp, exps), _, _ in image:
-        walls.setdefault(comp, []).append(exps)
+    walls = _by_component(image, shift)
 
-    def walled(comp: int, exps: Monomial) -> bool:
-        return any(all(a <= b for a, b in zip(w, exps)) for w in walls.get(comp, ()))
+    def walled(term: int) -> bool:
+        return any(not (term - w[0]) & guards for w in walls.get(term >> shift, ()))
 
-    seen = {lt for lt, _, _ in kernel if not walled(*lt)}
-    for comp, exps in seen:
+    seen = {lt for lt, _, _ in kernel if not walled(lt)}
+    for m in seen:
+        exps = packing.unpack(m)[1]
+        bounds = [packing.unpack(w[0])[1] for w in walls.get(m >> shift, ())]
         for i in range(len(exps)):
             # x_i^a m is in LT(I) for some a when a wall bounds m off the x_i axis
             if not any(all(a <= b for j, (a, b) in enumerate(zip(w, exps)) if j != i)
-                       for w in walls.get(comp, ())):
+                       for w in bounds):
                 raise InfiniteQuotientError("subquotient is not finite dimensional")
     stack = list(seen)
     while stack:
-        comp, exps = stack.pop()
-        for i in range(len(exps)):
-            term = (comp, exps[:i] + (exps[i] + 1,) + exps[i + 1:])
-            if term not in seen and not walled(*term):
+        m = stack.pop()
+        for x in packing.weights:
+            term = m + x
+            if term not in seen and not walled(term):
+                if term & guards:
+                    raise BudgetError(_OVERFLOW)
                 if len(seen) == MAX_QUOTIENT_BOX:
                     raise BudgetError(f"subquotient walk passes MAX_QUOTIENT_BOX = "
                                       f"{MAX_QUOTIENT_BOX} monomials")
@@ -654,7 +696,8 @@ def subquotient_dimension(kernel_gens: Sequence[GenLike],
     if len(ranks) > 1:
         raise ValueError("kernel and image generators have different ranks")
     rank = ranks.pop() if ranks else 1
-    kernel_basis, image_basis = (_buchberger([element_to_vec(g) for g in gens], rank, DEGREVLEX)
+    packing = _packing(DEGREVLEX, len((kernel + image)[0].ring) if kernel + image else 0)
+    kernel_basis, image_basis = (_buchberger([element_to_vec(g) for g in gens], rank, packing)
                                  for gens in (kernel, image))
     return _leading_gap(kernel_basis, image_basis)
 

@@ -49,10 +49,6 @@ def degrevlex_key(exps: Monomial) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def lex_key(exps: Monomial) -> tuple:
-    return exps
-
-
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients.
 

@@ -20,7 +20,9 @@ from mfres import (
     FreeModuleElement,
     InfiniteQuotientError,
     MatrixFactorization,
+    PolyMatrix,
     Polynomial,
+    TwoPeriodicComplex,
     cokernel_presentation,
     dual,
     express_in_terms,
@@ -39,7 +41,7 @@ from mfres import (
     to_string,
     tor_lengths,
 )
-from mfres.groebner import _AugmentedBasis, _autoreduce
+from mfres.groebner import FIELD_LIMIT, _AugmentedBasis, _autoreduce, _monic, _packing, _seeds
 from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly
 
 
@@ -242,12 +244,105 @@ def test_get_order_names():
         get_order("grlex")
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, 4)] * 3)),
-                max_size=30),
-       st.sampled_from([DEGREVLEX, LEX]))
+@st.composite
+def _packable_terms(draw):
+    """An order, a variable count and terms whose fields reach up to the
+    field edge: each exponent under lex, the degree under degrevlex."""
+    order = draw(st.sampled_from([DEGREVLEX, LEX]))
+    nvars = draw(st.integers(1, 3))
+    edge = (FIELD_LIMIT - 1) // (nvars if order == DEGREVLEX else 1)
+    term = st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, edge)] * nvars))
+    return order, nvars, draw(st.lists(term, min_size=2, max_size=6))
+
+
+@given(_packable_terms())
+@settings(max_examples=200, deadline=None)
+def test_packing_matches_tuple_terms(case):
+    order, nvars, terms = case
+    packing = _packing(order, nvars)
+    zero = packing.pack(0, (0,) * nvars)
+    for s in terms:
+        ps = packing.pack(*s)
+        assert packing.unpack(ps) == s
+        for t in terms:
+            pt = packing.pack(*t)
+            assert (ps < pt) == (order.term_key(s) < order.term_key(t))
+            assert (ps == pt) == (s == t)
+            packed_divides = ps >> packing.shift == pt >> packing.shift and not (pt - ps) & packing.guards
+            assert packed_divides == (s[0] == t[0] and all(a <= b for a, b in zip(s[1], t[1])))
+            # s times the monomial of t: one addition, or a set guard bit past the edge
+            total = ps + packing.pack(0, t[1]) - zero
+            product = tuple(a + b for a, b in zip(s[1], t[1]))
+            if (sum(product) if order == DEGREVLEX else max(product)) < FIELD_LIMIT:
+                assert total == packing.pack(s[0], product)
+            else:
+                assert total & packing.guards
+                with pytest.raises(BudgetError):
+                    packing.pack(s[0], product)
+
+
+@st.composite
+def _seed_lists(draw):
+    """Vectors of Q[x, y]^2 with duplicates and rescaled copies among them."""
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    term = st.tuples(st.integers(0, 1), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    vecs = draw(st.lists(st.dictionaries(term, coeff, max_size=4), min_size=1, max_size=6))
+    for v in draw(st.lists(st.sampled_from(vecs), max_size=4)):
+        k = draw(coeff)
+        vecs.append({t: k * c for t, c in v.items()})
+    return draw(st.permutations(vecs))
+
+
+@given(_seed_lists(), st.sampled_from([DEGREVLEX, LEX]))
 @settings(max_examples=100, deadline=None)
-def test_heap_key_reverses_term_key(terms, order):
-    assert sorted(terms, key=order.heap_key) == sorted(terms, key=order.term_key, reverse=True)
+def test_seeds_sort_as_monic_vectors(vecs, order):
+    # the key Buchberger sorted its seeds by before terms were packed: the
+    # leading term, then the monic tail, terms descending
+    def monic(v):
+        lt = max(v, key=order.term_key)
+        return {t: c / v[lt] for t, c in v.items()}, lt
+
+    def old_key(v):
+        m, lt = monic(v)
+        return order.term_key(lt), sorted(((t, c) for t, c in m.items() if t != lt),
+                                          key=lambda kv: order.term_key(kv[0]), reverse=True)
+
+    packing = _packing(order, 2)
+    want = [monic(v)[0] for v in sorted(filter(None, vecs), key=old_key)]
+    assert [_monic(d, packing) for d, _ in _seeds(vecs, packing)] == want
+
+
+class TestFieldOverflow:
+    """Past FIELD_LIMIT a packed field would carry into its neighbour; every
+    run refuses such a term with BudgetError instead."""
+
+    def test_exponent_at_the_limit(self):
+        big = Polynomial(XY, {(FIELD_LIMIT, 0): 1, (0, 1): 1})
+        for run in (lambda: groebner_basis([big, poly("y^2")]),
+                    lambda: groebner_basis([big], LEX),
+                    lambda: syzygy_basis([big, poly("x*y")]),
+                    lambda: homology_dimensions(TwoPeriodicComplex(
+                        PolyMatrix.from_rows([[big]]), PolyMatrix.from_rows([[poly("0")]])))):
+            with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+                run()
+
+    def test_just_below_the_limit(self):
+        edge = Polynomial(XY, {(FIELD_LIMIT - 1, 0): 1})
+        assert groebner_basis([edge], LEX).generators[0].components[0] == edge
+
+    def test_reduction_shift(self):
+        # x^3 -> x^2 y^(L-1) -> x y^(2L-2) -> y^(3L-3): each step shifts the
+        # tail y^(L-1) by one more y^(L-1), and the last shift would carry
+        gb = groebner_basis([Polynomial(XY, {(1, 0): 1, (0, FIELD_LIMIT - 1): -1})], LEX)
+        with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            normal_form(poly("x^3"), gb)
+
+    def test_lex_s_vector_tail(self):
+        # the S-vector y * (x + y^(L-1)) - x*y = y^L crosses the limit under
+        # lex, where the seeds and the lcm x*y stay inside it
+        seed = Polynomial(XY, {(1, 0): 1, (0, FIELD_LIMIT - 1): 1})
+        with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            groebner_basis([seed, poly("x*y")], LEX)
 
 
 # ---- an independent reference: all-pairs Buchberger with no criteria ----
@@ -601,7 +696,7 @@ class TestMinimalBases:
         gap = mfres.mf._leading_gap
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mfres.mf, "_leading_gap", lambda kernel, image: gap(
-                _autoreduce(kernel, DEGREVLEX), _autoreduce(image, DEGREVLEX)))
+                _autoreduce(kernel), _autoreduce(image)))
             assert _homology_outcome(x, y) == want
 
 
