@@ -62,6 +62,7 @@ from .forms import (
 from .mf import (
     MatrixFactorization,
     ModulePresentation,
+    SparseColumns,
     TwoPeriodicComplex,
     cokernel_presentation,
     dual,
@@ -116,7 +117,7 @@ __all__ = [
     "DifferentialForm", "FormMatrix", "chern_character_form", "d_polynomial",
     "euler_lemma_check", "exterior_derivative", "matrix_form_product_trace",
     "wedge",
-    "MatrixFactorization", "ModulePresentation", "TwoPeriodicComplex",
+    "MatrixFactorization", "ModulePresentation", "SparseColumns", "TwoPeriodicComplex",
     "cokernel_presentation", "dual", "hom_complex", "homology_dimensions",
     "periodic_homology", "shift", "tor_lengths", "validate_mf",
     "GramMatrix", "HrrReport", "MilnorAlgebra", "PsdReport",

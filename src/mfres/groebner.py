@@ -1,8 +1,8 @@
 """Groebner bases for submodules of free modules over Q[x_0..x_n].
 
 Elements of a rank r free module are stored as maps from (component, exponent
-vector) to a coefficient: a Fraction at the public boundary, an int inside
-the core. Monomial orders are global (degrevlex by default, lex on
+vector) to a coefficient: a Fraction or an int at the public boundary, an int
+inside the core. Monomial orders are global (degrevlex by default, lex on
 request); module terms are compared position over term, with lower component
 index taking priority. Global orders are enough here because the only local
 question the engine answers, support at the origin, is reduced to nilpotency
@@ -90,7 +90,7 @@ from .errors import BudgetError, ContainmentError, InfiniteQuotientError
 from .polyring import Monomial, Polynomial, Ring, degrevlex_key
 
 Term = tuple[int, Monomial]  # (component, exponent vector)
-Vec = dict[Term, Fraction]
+Vec = dict[Term, Union[Fraction, int]]
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,22 @@ class _Packing:
             raise BudgetError(_OVERFLOW)
         return (FIELD_LIMIT - 1 - comp << self.shift) + sum(map(mul, exps, self.weights))
 
+    def packer(self):
+        """pack for the many terms of one run's inputs: the monomial part of
+        each exponent vector is computed and checked once per packer."""
+        monomials: dict[Monomial, int] = {}
+        top = FIELD_LIMIT - 1 << self.shift
+
+        def pack(comp: int, exps: Monomial) -> int:
+            monomial = monomials.get(exps)
+            if monomial is None:
+                monomial = monomials[exps] = self.pack(0, exps) - top
+            if comp >= FIELD_LIMIT:
+                raise BudgetError(_OVERFLOW)
+            return top - (comp << self.shift) + monomial
+
+        return pack
+
     def unpack(self, packed: int) -> Term:
         return (FIELD_LIMIT - 1 - (packed >> self.shift),
                 tuple(packed >> s & (1 << FIELD_BITS) - 1 for s in self.offsets))
@@ -232,10 +248,11 @@ class _Basis(list):
 MAX_COEFFICIENT_BITS = 8192
 
 
-def _integral(vec: Vec, packing: _Packing) -> tuple[IntVec, int]:
-    """(den * vec, den), packed, for the least den > 0 clearing all denominators."""
+def _integral(vec: Vec, pack) -> tuple[IntVec, int]:
+    """(den * vec, den), packed by pack, for the least den > 0 clearing all
+    denominators."""
     den = math.lcm(*(c.denominator for c in vec.values()))
-    return {packing.pack(*t): c.numerator * (den // c.denominator) for t, c in vec.items()}, den
+    return {pack(*t): c.numerator * (den // c.denominator) for t, c in vec.items()}, den
 
 
 def _divisor(vec: IntVec, lt: int) -> Divisor:
@@ -349,14 +366,23 @@ def _seeds(vecs: list[Vec], packing: _Packing) -> list[tuple[Divisor, int]]:
     """The nonzero inputs as divisors with their sugar, the largest degree
     of a term, sorted as monic vectors, so the run depends neither on the
     caller's ordering nor on how the inputs are scaled: by leading term,
-    and seeds of one leading term by their monic tails, terms descending."""
+    and seeds of one leading term by their monic tails, terms descending.
+    A monic tail is compared in ints: scaled by L, the lcm of the leading
+    coefficients tied on its leading term, each coefficient c / lc is the
+    int c * (L // lc), and a common L > 0 keeps the order."""
     seeds = []
+    pack = packing.packer()
     for v in filter(None, vecs):
-        ints = _integral(v, packing)[0]
+        ints = _integral(v, pack)[0]
         seeds.append((_divisor(ints, max(ints)), max(sum(exps) for _, exps in v)))
     lts = Counter(d[0] for d, _ in seeds)
-    seeds.sort(key=lambda s: (s[0][0], lts[s[0][0]] > 1 and [
-        (packing.unpack(t), Fraction(c, s[0][1])) for t, c in sorted(s[0][2], reverse=True)]))
+    lcms: dict[int, int] = {}  # tied leading term -> L
+    for (lt, lc, _), _ in seeds:
+        if lts[lt] > 1:
+            lcms[lt] = math.lcm(lcms.get(lt, 1), lc)
+    seeds.sort(key=lambda s: (s[0][0], s[0][0] in lcms and [
+        (packing.unpack(t), c * (lcms[s[0][0]] // s[0][1]))
+        for t, c in sorted(s[0][2], reverse=True)]))
     return seeds
 
 
@@ -496,7 +522,7 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
     if el.rank != gb.ambient_rank:
         raise ValueError("rank mismatch with basis")
     packing = gb.divisors.packing
-    vec, den = _integral(element_to_vec(el), packing)
+    vec, den = _integral(element_to_vec(el), packing.pack)
     red, scale = _reduce(vec, _by_component(gb.divisors, packing.shift), packing)
     scale *= den
     out = vec_to_element({packing.unpack(t): Fraction(c, scale) for t, c in red.items()},
@@ -511,7 +537,8 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
 
 class _AugmentedBasis:
     """Minimal Groebner basis of the rows (g_i, e_i) and (n_j, 0), original
-    components dominating tags. The relations n_j carry no tag. By
+    components dominating tags, for g_i and n_j given as vectors of Q[x]^rank
+    with int or Fraction coefficients. The relations n_j carry no tag. By
     elimination the elements led by a tag form a minimal basis of the
     preimage {c : sum c_i g_i in span n_j}, stored as `kernel` with tags
     shifted to components 0..k-1: the syzygy module when there are no
@@ -519,20 +546,15 @@ class _AugmentedBasis:
     tag block. The first-block parts of the others form `image`, a minimal
     basis of the span of the g_i and n_j."""
 
-    def __init__(self, gens: list[FreeModuleElement], order: MonomialOrder,
-                 relations: Sequence[FreeModuleElement] = ()):
+    def __init__(self, gens: list[Vec], rank: int, ring: Ring, order: MonomialOrder,
+                 relations: Sequence[Vec] = ()):
         if not gens:
             raise ValueError("need at least one generator")
-        self.rank = gens[0].rank
-        self.ring = gens[0].ring
-        self.count = len(gens)
-        self.packing = packing = _packing(order, len(self.ring))
-        aug: list[Vec] = [element_to_vec(n) for n in relations]
-        for i, g in enumerate(gens):
-            vec = element_to_vec(g)
-            vec[(self.rank + i, (0,) * len(self.ring))] = Fraction(1)
-            aug.append(vec)
-        basis = _buchberger(aug, self.rank + self.count, packing)
+        self.rank, self.ring, self.count = rank, ring, len(gens)
+        self.packing = packing = _packing(order, len(ring))
+        one = (0,) * len(ring)
+        aug = [*relations, *({**g, (rank + i, one): 1} for i, g in enumerate(gens))]
+        basis = _buchberger(aug, rank + self.count, packing)
         self.divisors = _by_component(basis, packing.shift)
         # terms from `first` up lie in the first block; adding `tag` takes c to c - rank
         first, tag = FIELD_LIMIT - self.rank << packing.shift, self.rank << packing.shift
@@ -549,7 +571,7 @@ class _AugmentedBasis:
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
-        vec, den = _integral(element_to_vec(el), self.packing)
+        vec, den = _integral(element_to_vec(el), self.packing.pack)
         red, scale = _reduce(vec, self.divisors, self.packing)
         red = {self.packing.unpack(t): c for t, c in red.items()}
         if any(comp < self.rank for comp, _ in red):
@@ -569,7 +591,8 @@ def syzygy_basis(generators: Sequence[GenLike],
     elements = [_to_element(g) for g in generators]
     if not elements:
         return []
-    syzygies = _AugmentedBasis(elements, DEGREVLEX).syzygies()
+    syzygies = _AugmentedBasis([element_to_vec(e) for e in elements], elements[0].rank,
+                               elements[0].ring, DEGREVLEX).syzygies()
     if order == DEGREVLEX:
         return syzygies
     return list(groebner_basis(syzygies, order, len(elements), elements[0].ring).generators)
@@ -582,7 +605,8 @@ def express_in_terms(x: GenLike, generators: Sequence[GenLike],
     if not elements:
         el = _to_element(x)
         return [] if el.is_zero() else None
-    return _AugmentedBasis(elements, order).express(_to_element(x))
+    return _AugmentedBasis([element_to_vec(e) for e in elements], elements[0].rank,
+                           elements[0].ring, order).express(_to_element(x))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,16 @@ periodic, on Hom(P_even, P'_even) + Hom(P_odd, P'_odd) in even degree and the
 mixed terms in odd degree, with differential d(alpha) = d' alpha - (-1)^|alpha|
 alpha d. Flattening matrix entries row major, vec(M X N) = (M (x) N^T) vec(X),
 turns both differentials into 2 x 2 block matrices of Kronecker products of
-A, B, A', B' with identities (see hom_complex), placed entry by entry from the
-nonzero entries only.
+A, B, A', B' with identities (see hom_complex).
+
+Every differential that reaches homology is held as SparseColumns: column j
+maps (row, exponents) to the int numerator of a nonzero term, over one
+denominator common to the whole matrix, since a column scaled alone would
+change the kernel coordinates its tag records. hom_complex places its blocks
+straight from the integer forms validate_mf certified and checks d o d = 0
+without a product: A B = B A = f I and A' B' = B' A' = f I hold on those
+forms, every block is checked to be exactly its Kronecker block, so by the
+mixed product rule each block of either composite is f I - f I = 0.
 
 One routine, periodic_homology, gives the homology of every two periodic
 complex here: the Hom complex, and the periodic resolution over
@@ -31,8 +39,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FactorizationError, InternalCheckError
-from .groebner import DEGREVLEX, FreeModuleElement, _AugmentedBasis, _leading_gap
-from .polyring import Polynomial, PolyMatrix, _cleared_product, _cleared_rows, to_string
+from .groebner import DEGREVLEX, FreeModuleElement, _AugmentedBasis, _leading_gap, element_to_vec
+from .polyring import Polynomial, PolyMatrix, Ring, _cleared_product, _cleared_rows, to_string
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,9 @@ class MatrixFactorization:
     A: PolyMatrix
     B: PolyMatrix
     label: str = field(default="", compare=False)
+    # A and B cleared of denominators, each as (den, ((i, j, exps, int), ...)),
+    # set by validate_mf once the products pass; hom_complex builds from these
+    certified: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_mf(self)
@@ -57,7 +68,8 @@ class MatrixFactorization:
 
 
 def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
-    """Check A B = B A = f I on integer forms of A and B; raise naming the entry."""
+    """Check A B = B A = f I on integer forms of A and B; raise naming the
+    entry, or keep the forms on the factorization as certified."""
     a, b, f = candidate.A, candidate.B, candidate.potential
     r = a.rows
     if a.cols != r or b.rows != r or b.cols != r:
@@ -76,6 +88,9 @@ def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
             raise FactorizationError(
                 f"product {name} mismatch at entry ({i + 1},{j + 1}): "
                 f"expected {to_string(f) if i == j else 0}, found {to_string(got)}")
+    object.__setattr__(candidate, "certified", tuple(
+        (d, tuple((i, j, e, c) for i, row in enumerate(rows) for j, terms in row for e, c in terms))
+        for d, rows in ((da, left), (db, right))))
     return candidate
 
 
@@ -132,17 +147,48 @@ def cokernel_presentation(mf: MatrixFactorization) -> ModulePresentation:
 
 
 # ---------------------------------------------------------------------------
-# hom complexes
+# sparse integer differentials and hom complexes
+
+@dataclass(frozen=True)
+class SparseColumns:
+    """A rows x len(columns) matrix over Q[x]: column j maps (row, exponents)
+    to a nonzero int c, the term c / den * x^exponents of entry (row, j)."""
+
+    ring: Ring
+    rows: int
+    columns: tuple[dict, ...]
+    den: int = 1
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @staticmethod
+    def of(m: SparseColumns | PolyMatrix) -> SparseColumns:
+        """m itself, or the PolyMatrix m cleared by the lcm of its denominators."""
+        if isinstance(m, SparseColumns):
+            return m
+        den, rows = _cleared_rows(m)
+        columns = [{} for _ in range(m.cols)]
+        for i, row in enumerate(rows):
+            for j, terms in row:
+                columns[j].update(((i, e), c) for e, c in terms)
+        return SparseColumns(m.ring if m.cols else (), m.rows, tuple(columns), den)
+
 
 @dataclass(frozen=True)
 class TwoPeriodicComplex:
     """Two free terms with differentials both ways; composites vanish. The
-    ranks of the terms are read off the shape of d_even_to_odd."""
+    differentials are SparseColumns; PolyMatrix ones are converted once, when
+    the complex is built. The ranks of the terms are read off the shape of
+    d_even_to_odd."""
 
-    d_even_to_odd: PolyMatrix
-    d_odd_to_even: PolyMatrix
+    d_even_to_odd: SparseColumns
+    d_odd_to_even: SparseColumns
 
     def __post_init__(self):
+        for name in ("d_even_to_odd", "d_odd_to_even"):
+            object.__setattr__(self, name, SparseColumns.of(getattr(self, name)))
         if (self.d_odd_to_even.rows, self.d_odd_to_even.cols) != (self.rank_even, self.rank_odd):
             raise ValueError("odd-to-even differential has wrong shape")
 
@@ -155,19 +201,66 @@ class TwoPeriodicComplex:
         return self.d_even_to_odd.rows
 
     def is_complex(self) -> bool:
-        """Both composites vanish, tested on the integer products of the
-        differentials cleared of denominators once, building no Polynomial."""
-        eo, oe = (_cleared_rows(d)[1] for d in (self.d_even_to_odd, self.d_odd_to_even))
+        """Both composites vanish, multiplied out in ints on the rows of the
+        two differentials, building no Polynomial."""
+        eo, oe = (_rows(d) for d in (self.d_even_to_odd, self.d_odd_to_even))
         return not any(any(_off_scalar(a, b, {})) for a, b in ((oe, eo), (eo, oe)))
 
 
-def _kron(m: PolyMatrix, s: int, transpose: bool = False):
-    """Nonzero entries (row, col, p) of m (x) I_s, or of I_s (x) m^T if transpose."""
-    for idx, p in enumerate(m.entries):
-        if p:
-            a, b = divmod(idx, m.cols)
-            for t in range(s):
-                yield (t * m.cols + b, t * m.rows + a, p) if transpose else (a * s + t, b * s + t, p)
+def _rows(d: SparseColumns) -> list:
+    """The rows of d in the form _cleared_rows gives: [(column, [(exps, int)])]."""
+    rows = [{} for _ in range(d.rows)]
+    for j, column in enumerate(d.columns):
+        for (i, e), c in column.items():
+            rows[i].setdefault(j, []).append((e, c))
+    return [list(row.items()) for row in rows]
+
+
+# The blocks of the two Hom differentials of hom_complex's docstring, (row
+# block, column block) -> (side, factor, sign), side 0 for `left` and 1 for
+# `right`, factor 0 for A and 1 for B: a factor M of `right` enters as
+# M (x) I_r, one of `left` as I_r' (x) M^T.
+_HOM_BLOCKS = (
+    {(0, 0): (1, 1, 1), (0, 1): (0, 1, -1), (1, 0): (0, 0, -1), (1, 1): (1, 0, 1)},
+    {(0, 0): (1, 0, 1), (0, 1): (0, 1, 1), (1, 0): (0, 0, 1), (1, 1): (1, 1, 1)},
+)
+
+
+def _kron(terms: tuple, r: int, rp: int, transpose: bool):
+    """Nonzero terms (row, col, exps, c) of m (x) I_r, or if transpose of
+    I_rp (x) m^T for an r x r matrix m, from the terms (a, b, exps, c) of m."""
+    for a, b, e, c in terms:
+        for t in range(rp if transpose else r):
+            yield (t * r + b, t * r + a, e, c) if transpose else (a * r + t, b * r + t, e, c)
+
+
+def _check_kron(d: SparseColumns, blocks: dict, forms, r: int, rp: int) -> None:
+    """Raise unless d is exactly its Kronecker blocks. Index arithmetic
+    traces each stored term back to the factor term it must equal, so the
+    stored terms match distinct terms of the blocks, and d stores as many
+    terms as the blocks have: the match is one to one."""
+    half = r * rp
+    kron = {}  # block -> (side, {(a, b, exps): the term M[a, b] puts in d})
+    for block, (side, factor, sign) in blocks.items():
+        m_den, terms = forms[side][factor]
+        scale = sign * (d.den // m_den)
+        kron[block] = side, {(a, b, e): scale * c for a, b, e, c in terms}
+    if sum(map(len, d.columns)) != sum(len(m) * (r if side else rp) for side, m in kron.values()):
+        raise InternalCheckError("hom differential does not hold its Kronecker blocks")
+    for j, column in enumerate(d.columns):
+        inp, lj = divmod(j, half)
+        q, u = divmod(lj, r)
+        for (i, e), c in column.items():
+            out, li = divmod(i, half)
+            side, want = kron.get((out, inp), (0, {}))
+            p, t = divmod(li, r)
+            if side:  # M (x) I_r: entry (a r + t, b r + t) is M[a, b]
+                key = (p, q, e) if t == u else None
+            else:  # I_r' (x) M^T: entry (t r + b, t r + a) is M[a, b]
+                key = (u, t, e) if p == q else None
+            if want.get(key) != c:
+                raise InternalCheckError(f"hom differential entry ({i}, {j}) is not its "
+                                         f"Kronecker entry")
 
 
 def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPeriodicComplex:
@@ -186,84 +279,79 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
         even to odd: [[B' (x) I_r, -(I_r' (x) B^T)], [-(I_r' (x) A^T), A' (x) I_r]]
         odd to even: [[A' (x) I_r,   I_r' (x) B^T ], [  I_r' (x) A^T,  B' (x) I_r]]
 
-    built directly from the nonzero entries of A, B, A', B', which were checked
-    when built. The composites are checked to vanish on every call.
+    placed as SparseColumns over one common denominator, the product of the
+    four factors' denominators, from the integer forms validate_mf certified.
+    Then d o d = 0 needs no product:
+      - A B = B A = f I and A' B' = B' A' = f I hold on those forms;
+      - every block is checked to be exactly its Kronecker block above;
+      - so by (M (x) N)(M' (x) N') = M M' (x) N N', each diagonal block of
+        either composite is M' N' (x) I - I (x) (M N)^T = f I - f I and each
+        off-diagonal block is M' (x) N^T - M' (x) N^T, both zero.
+    The check is one pass over the nonzero terms.
     """
     if left.potential != right.potential:
         raise FactorizationError("factorizations have different potentials")
+    forms = (left.certified, right.certified)
+    if None in forms:
+        raise InternalCheckError("hom complex of a factorization that was not certified")
     r, rp = left.rank, right.rank
-    half, total = r * rp, 2 * r * rp
-    zero = Polynomial.zero(left.ring)
+    half = r * rp
+    den = forms[0][0][0] * forms[0][1][0] * forms[1][0][0] * forms[1][1][0]
 
-    def differential(blocks) -> PolyMatrix:
-        entries = [zero] * (total * total)
-        for (out, inp), kron in blocks.items():
-            for row, col, p in kron:
-                entries[(out * half + row) * total + inp * half + col] = p
-        return PolyMatrix(total, total, tuple(entries))
+    def differential(blocks: dict) -> SparseColumns:
+        columns = [{} for _ in range(2 * half)]
+        for (out, inp), (side, factor, sign) in blocks.items():
+            m_den, terms = forms[side][factor]
+            scale = sign * (den // m_den)
+            for row, col, e, c in _kron(terms, r, rp, not side):
+                columns[inp * half + col][out * half + row, e] = scale * c
+        d = SparseColumns(left.ring, 2 * half, tuple(columns), den)
+        _check_kron(d, blocks, forms, r, rp)
+        return d
 
-    d_eo = differential({(0, 0): _kron(right.B, r), (0, 1): _kron(-left.B, rp, True),
-                         (1, 0): _kron(-left.A, rp, True), (1, 1): _kron(right.A, r)})
-    d_oe = differential({(0, 0): _kron(right.A, r), (0, 1): _kron(left.B, rp, True),
-                         (1, 0): _kron(left.A, rp, True), (1, 1): _kron(right.B, r)})
-    complex_ = TwoPeriodicComplex(d_eo, d_oe)
-    if not complex_.is_complex():
-        raise InternalCheckError("hom complex differentials do not compose to zero")
-    return complex_
+    return TwoPeriodicComplex(*map(differential, _HOM_BLOCKS))
 
 
 # ---------------------------------------------------------------------------
 # homology of two periodic complexes: Hom, and Tor and Ext against a module
 
-def _tensor_map(m: PolyMatrix, s: int) -> PolyMatrix:
-    """Kronecker product m (x) identity_s acting on blocks of size s."""
-    entries = [Polynomial.zero(m.ring)] * (m.rows * s * m.cols * s)
-    for row, col, p in _kron(m, s):
-        entries[row * m.cols * s + col] = p
-    return PolyMatrix(m.rows * s, m.cols * s, tuple(entries))
-
-
-def _module_relation_vectors(n_module: ModulePresentation,
-                             blocks: int) -> list[FreeModuleElement]:
-    """Relations of N^blocks over Q: each relation of N placed in each block,
-    plus f times every coordinate."""
-    s = n_module.ambient_rank
-    f_s = PolyMatrix.scalar(n_module.potential, s)
-    base = [rel.components for rel in n_module.relations] + [f_s.row(i) for i in range(s)]
-    pad = (Polynomial.zero(n_module.potential.ring),) * s
-    return [FreeModuleElement(pad * b + comps + pad * (blocks - 1 - b))
-            for b in range(blocks) for comps in base]
-
-
-def periodic_homology(d_eo: PolyMatrix, d_oe: PolyMatrix,
+def periodic_homology(d_eo: SparseColumns | PolyMatrix, d_oe: SparseColumns | PolyMatrix,
                       module: ModulePresentation | None = None) -> tuple[int, int]:
     """Exact Q dimensions (ker d_eo / im d_oe, ker d_oe / im d_eo) of a two
     periodic complex, or of the complex tensored with a module N.
 
-    One tag-augmented Groebner basis per differential holds minimal bases of
-    both its kernel and its image, and each dimension is the count of
-    leading terms of a kernel outside the other image, after an exact check
-    that the image lies in the kernel. With N = Q[x]^s / span n_j, a map m
-    acts as m (x) I_s, and the relations of N in each of its m.rows target
-    blocks go in as untagged rows: the kernel becomes the preimage of the
-    relations, which holds those over the source, and the image takes in
+    Each differential, as SparseColumns (a PolyMatrix is converted once),
+    goes column by column into one tag-augmented Groebner basis, with no
+    Polynomial or Fraction in between; the common denominator scales the
+    whole map, which changes neither kernel nor image. That basis holds
+    minimal bases of both its kernel and its image, and each dimension is
+    the count of leading terms of a kernel outside the other image, after an
+    exact check that the image lies in the kernel. With N = Q[x]^s / span n_j,
+    a map m acts as m (x) I_s, and the relations of N in each of its m.rows
+    target blocks go in as untagged rows: the kernel becomes the preimage of
+    the relations, which holds those over the source, and the image takes in
     the relations over the target. The dimensions do not depend on the term
     order; the bases are built under degrevlex.
     """
-    def kernel_and_image(m: PolyMatrix):
+    def kernel_and_image(m: SparseColumns):
         # only these two outlive the run, so one augmented basis is alive at a time
-        relations = ()
+        columns, rows, relations = list(m.columns), m.rows, []
         if module is not None:
-            relations = _module_relation_vectors(module, m.rows)
-            m = _tensor_map(m, module.ambient_rank)
-        if not m.cols:
+            s = module.ambient_rank
+            base = [element_to_vec(n) for n in module.relations] + [
+                {(i, e): c for e, c in module.potential.items()} for i in range(s)]
+            relations = [{(b * s + k, e): c for (k, e), c in v.items()}
+                         for b in range(rows) for v in base]
+            columns = [{(i * s + t, e): c for (i, e), c in column.items()}
+                       for column in columns for t in range(s)]
+            rows *= s
+        if not columns:
             return [], []
-        aug = _AugmentedBasis([FreeModuleElement(m.column(j)) for j in range(m.cols)],
-                              DEGREVLEX, relations)
+        aug = _AugmentedBasis(columns, rows, m.ring, DEGREVLEX, relations)
         return aug.kernel, aug.image
 
-    ker_eo, im_eo = kernel_and_image(d_eo)
-    ker_oe, im_oe = kernel_and_image(d_oe)
+    ker_eo, im_eo = kernel_and_image(SparseColumns.of(d_eo))
+    ker_oe, im_oe = kernel_and_image(SparseColumns.of(d_oe))
     return _leading_gap(ker_eo, im_oe), _leading_gap(ker_oe, im_eo)
 
 

@@ -74,6 +74,7 @@ from .groebner import (
 from .mf import (
     MatrixFactorization,
     ModulePresentation,
+    SparseColumns,
     cokernel_presentation,
     hom_complex,
     homology_dimensions,
@@ -292,9 +293,8 @@ def _syzygy_step(d: PolyMatrix, f: Polynomial) -> PolyMatrix:
     """The next map of the resolution over R: its columns are the canonical
     generators of the syzygies over R of the columns of d, the preimage of
     f Q[x]^rows in Q[x]^cols."""
-    f_rows = PolyMatrix.scalar(f, d.rows)
-    syz = _AugmentedBasis([FreeModuleElement(d.column(j)) for j in range(d.cols)], DEGREVLEX,
-                          [FreeModuleElement(f_rows.column(i)) for i in range(d.rows)]).syzygies()
+    syz = _AugmentedBasis(list(SparseColumns.of(d).columns), d.rows, d.ring, DEGREVLEX,
+                          [{(i, e): c for e, c in f.items()} for i in range(d.rows)]).syzygies()
     return _columns(syz, d.cols)
 
 

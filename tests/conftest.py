@@ -11,6 +11,7 @@ from mfres import (
     ModulePresentation,
     FreeModuleElement,
     PolyMatrix,
+    Polynomial,
     parse_polynomial,
 )
 from mfres import ratmat
@@ -26,6 +27,15 @@ def poly(text: str, variables=XY):
 def matrix(rows, variables=XY) -> PolyMatrix:
     return PolyMatrix.from_rows(
         [[parse_polynomial(e, variables) for e in row] for row in rows])
+
+
+def sparse_to_matrix(d) -> PolyMatrix:
+    """The PolyMatrix a SparseColumns differential stands for."""
+    terms = [[{} for _ in range(d.cols)] for _ in range(d.rows)]
+    for j, column in enumerate(d.columns):
+        for (i, e), c in column.items():
+            terms[i][j][e] = Fraction(c, d.den)
+    return PolyMatrix(d.rows, d.cols, tuple(Polynomial(d.ring, t) for row in terms for t in row))
 
 
 def make_mf(potential: str, a_rows, b_rows, variables=XY,

@@ -41,8 +41,9 @@ from mfres import (
     to_string,
     tor_lengths,
 )
-from mfres.groebner import FIELD_LIMIT, _AugmentedBasis, _autoreduce, _monic, _packing, _seeds
-from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly
+from mfres.groebner import (FIELD_LIMIT, _AugmentedBasis, _autoreduce, _monic, _packing, _seeds,
+                             element_to_vec)
+from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly, sparse_to_matrix
 
 
 class TestGroebnerBasis:
@@ -310,6 +311,24 @@ def test_seeds_sort_as_monic_vectors(vecs, order):
     packing = _packing(order, 2)
     want = [monic(v)[0] for v in sorted(filter(None, vecs), key=old_key)]
     assert [_monic(d, packing) for d, _ in _seeds(vecs, packing)] == want
+
+
+def test_seeds_build_no_fraction(monkeypatch):
+    # three seeds tied on x e_0 with leading coefficients 2, 3 and 1/2: their
+    # monic tails 3/2, 1/6 and 2 y e_0 are compared as the ints 9, 1 and 12
+    x, y = (0, (1, 0)), (0, (0, 1))
+    vecs = [{x: Fraction(2), y: Fraction(3)}, {x: 3, y: Fraction(1, 2)}, {x: Fraction(1, 2), y: 1},
+            {(1, (0, 0)): 5}]
+    packing = _packing(DEGREVLEX, 2)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+    seeds = _seeds(vecs, packing)
+    assert built == []
+    # the seed of the lower term 5 e_1 first, then the tied ones by those ints
+    assert [d[2] for d, _ in seeds] == [(), ((packing.pack(*y), 1),), ((packing.pack(*y), 3),),
+                                        ((packing.pack(*y), 2),)]
 
 
 class TestFieldOverflow:
@@ -685,7 +704,8 @@ class TestMinimalBases:
         gb = groebner_basis(augmented, order)
         want = [FreeModuleElement(g.components[rank:])
                 for g, (comp, _) in zip(gb.generators, gb.leading_terms()) if comp >= rank]
-        assert _AugmentedBasis(gens, order, relations).syzygies() == want
+        assert _AugmentedBasis([element_to_vec(g) for g in gens], rank, XY, order,
+                               [element_to_vec(n) for n in relations]).syzygies() == want
 
     @given(_factorization_pair())
     @settings(max_examples=25, deadline=None)
@@ -725,11 +745,50 @@ class TestWorkCounts:
     def test_rank_four_koszul_syzygies(self, reduce_calls):
         left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
         right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
-        d = hom_complex(left, right).d_even_to_odd
+        d = sparse_to_matrix(hom_complex(left, right).d_even_to_odd)
         reduce_calls.clear()
         syzygy_basis([FreeModuleElement(d.column(j)) for j in range(d.cols)])
         # interreducing the whole augmented basis, not only the syzygies, made 135
         assert len(reduce_calls) == 99
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Calls of _cleared_product and constructions of Polynomial,
+        FreeModuleElement and Fraction, by name."""
+        made = {"_cleared_product": 0, "Polynomial": 0, "FreeModuleElement": 0, "Fraction": 0}
+
+        def counting(name, fn):
+            return lambda *args, **kwargs: made.__setitem__(name, made[name] + 1) or fn(*args,
+                                                                                        **kwargs)
+
+        for module in (mfres.mf, mfres.polyring):
+            monkeypatch.setattr(module, "_cleared_product",
+                                counting("_cleared_product", mfres.polyring._cleared_product))
+        monkeypatch.setattr(Polynomial, "__init__", counting("Polynomial", Polynomial.__init__))
+        monkeypatch.setattr(Polynomial, "_trusted", classmethod(
+            counting("Polynomial", Polynomial._trusted.__func__)))
+        monkeypatch.setattr(FreeModuleElement, "__init__",
+                            counting("FreeModuleElement", FreeModuleElement.__init__))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__)))
+        return made
+
+    def test_rank_four_koszul_hom_complex_is_sparse(self, constructions):
+        # the differentials go from the certified integer forms to sparse
+        # columns and on to Buchberger: no product, polynomial, module
+        # element or fraction on the way
+        left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        for name in constructions:
+            constructions[name] = 0
+        c = hom_complex(left, right)
+        assert homology_dimensions(c) == (4, 4)
+        assert constructions == dict.fromkeys(constructions, 0)
+        # each differential stores r' (nnz(A) + nnz(B)) + r (nnz(A') + nnz(B'))
+        # nonzero terms: 4 * (12 + 12) + 4 * (12 + 12)
+        nnz = [sum(len(p) for p in m.entries) for m in (left.A, left.B, right.A, right.B)]
+        assert nnz == [12, 12, 12, 12]
+        for d in (c.d_even_to_odd, c.d_odd_to_even):
+            assert sum(map(len, d.columns)) == 4 * (nnz[0] + nnz[1]) + 4 * (nnz[2] + nnz[3]) == 192
 
     def test_rank_four_koszul_homology(self, reduce_calls, monkeypatch):
         # two augmented Buchberger runs and one containment check per image
@@ -777,5 +836,5 @@ class TestWorkCounts:
         # 80,000 bits and it does not finish in minutes
         gens = [FreeModuleElement((poly(p, XYZ),)) for p in RUNAWAY]
         with pytest.raises(BudgetError, match="MAX_COEFFICIENT_BITS"):
-            _AugmentedBasis(gens, LEX)
+            _AugmentedBasis([element_to_vec(g) for g in gens], 1, XYZ, LEX)
         assert len(reduce_calls) == 88

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,9 @@ from mfres import (
     validate_mf,
 )
 from mfres.cli import builtin_corpus_dir
-from conftest import XY, koszul_rank4, make_mf, make_module, matrix, poly
+from conftest import XY, koszul_rank4, make_mf, make_module, matrix, poly, sparse_to_matrix
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestValidation:
@@ -145,6 +150,52 @@ class TestHomComplex:
                 homology_dimensions(hom_complex(swapped, swapped)))
 
 
+def _product_route_holds(x, y) -> bool:
+    # the differentials turned back into PolyMatrix and multiplied out: the
+    # product route shares nothing with hom_complex's block check
+    c = hom_complex(x, y)
+    return TwoPeriodicComplex(sparse_to_matrix(c.d_even_to_odd),
+                              sparse_to_matrix(c.d_odd_to_even)).is_complex()
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProductOracle:
+    """TwoPeriodicComplex.is_complex multiplies both composites out; it must
+    hold on every Hom complex that hom_complex certified by its block check."""
+
+    def test_every_corpus_pair(self):
+        pairs = 0
+        for path in sorted(builtin_corpus_dir().glob("*.json")):
+            items = []
+            for mf in load_corpus(path).factorizations:
+                items += [mf, shift(mf), dual(mf), shift(dual(mf))]
+            for x in items:
+                for y in items:
+                    assert _product_route_holds(x, y), (x.label, y.label)
+                    pairs += 1
+        assert pairs == 256
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_koszul_workload_inputs(self, seed):
+        # the 16 pairs of one round of the koszul benchmark workload
+        inputs = _perfbench_inputs()
+        rng = random.Random(seed)
+        for nvars in (2, 3, 3, 3) * 4:
+            spec = inputs.koszul_pair(rng, nvars)
+            ring = ("x", "y", "z")[:nvars]
+            f = Polynomial(ring, inputs.potential(spec["degrees"]))
+            x, y = (MatrixFactorization(f, *(PolyMatrix.from_rows(
+                [[Polynomial(ring, p) for p in row] for row in m])
+                for m in inputs.factorization(spec, side))) for side in ("left", "right"))
+            assert _product_route_holds(x, y), spec
+
+
 class TestHomologyChecks:
     """homology_dimensions on complexes built by hand, not by hom_complex."""
 
@@ -200,11 +251,21 @@ def _vec(*blocks):
     return PolyMatrix(len(entries), 1, entries)
 
 
+def _apply(d, v: PolyMatrix) -> PolyMatrix:
+    """The sparse integer columns of d applied to the column v, term by term."""
+    out = [Polynomial.zero(d.ring)] * d.rows
+    for j, column in enumerate(d.columns):
+        for (i, e), c in column.items():
+            out[i] = out[i] + Polynomial.monomial(d.ring, e, Fraction(c, d.den)) * v.entries[j]
+    return PolyMatrix(d.rows, 1, tuple(out))
+
+
 class TestHomDifferentials:
     """The Kronecker-block differentials against the hom_complex docstring,
     d(alpha_0, alpha_1) = (B' alpha_0 - alpha_1 B, A' alpha_1 - alpha_0 A) and
-    d(beta_0, beta_1) = (A' beta_0 + beta_1 B, B' beta_1 + beta_0 A),
-    evaluated with PolyMatrix products on random rp x r matrices."""
+    d(beta_0, beta_1) = (A' beta_0 + beta_1 B, B' beta_1 + beta_0 A): the
+    sparse columns applied to vec(x0, x1), against PolyMatrix products on
+    random rp x r matrices."""
 
     def check(self, left, right, seed):
         rng = random.Random(seed)
@@ -213,8 +274,10 @@ class TestHomDifferentials:
         for _ in range(3):
             x0 = _random_matrix(rng, left.ring, right.rank, left.rank)
             x1 = _random_matrix(rng, left.ring, right.rank, left.rank)
-            assert c.d_even_to_odd @ _vec(x0, x1) == _vec(bp @ x0 - x1 @ b, ap @ x1 - x0 @ a)
-            assert c.d_odd_to_even @ _vec(x0, x1) == _vec(ap @ x0 + x1 @ b, bp @ x1 + x0 @ a)
+            assert _apply(c.d_even_to_odd, _vec(x0, x1)) == _vec(bp @ x0 - x1 @ b,
+                                                                ap @ x1 - x0 @ a)
+            assert _apply(c.d_odd_to_even, _vec(x0, x1)) == _vec(ap @ x0 + x1 @ b,
+                                                                bp @ x1 + x0 @ a)
 
     def test_cubic_ranks_one_and_two_both_orders(self, cubic_mf):
         d1 = make_mf("x^3 + y^3", [["x", "-y"], ["y^2", "x^2"]],
@@ -229,23 +292,55 @@ class TestHomDifferentials:
         assert (left.rank, right.rank) == (4, 4)
         self.check(left, right, seed=4)
 
-    def test_corrupted_entry_is_caught(self, cubic_mf, monkeypatch):
-        # one entry of the first Kronecker block off by 1/3: A and B are
-        # valid, so only the d o d = 0 check sees it
+    def test_rational_entries(self):
+        # denominators 2, 3 and 6 on the two sides: one common one per differential
+        left = make_mf("x*y", [["1/2*x"]], [["2*y"]])
+        right = make_mf("x*y", [["1/3*x", "y"], ["0", "3*y"]], [["3*y", "-y"], ["0", "1/3*x"]])
+        self.check(left, right, seed=5)
+        self.check(right, left, seed=6)
+
+    def corrupt_block(self, monkeypatch, damage, index=2):
+        # damage the terms of one Kronecker block, by default the third built
         kron = mfres.mf._kron
         blocks = []
 
-        def corrupt(m, s, transpose=False):
-            entries = list(kron(m, s, transpose))
-            if not blocks:
-                row, col, p = entries[0]
-                entries[0] = (row, col, p + poly("1/3"))
+        def corrupt(*args):
+            terms = list(kron(*args))
             blocks.append(None)
-            return iter(entries)
+            return iter(damage(terms) if len(blocks) == index + 1 else terms)
 
         monkeypatch.setattr(mfres.mf, "_kron", corrupt)
+        return blocks
+
+    def test_corrupted_entry_is_caught(self, cubic_mf, monkeypatch):
+        # one coefficient of one Kronecker entry off by 1: A and B are valid,
+        # so only the d o d = 0 check sees it, before the second differential
+        blocks = self.corrupt_block(
+            monkeypatch, lambda terms: [terms[0][:3] + (terms[0][3] + 1,)] + terms[1:])
         with pytest.raises(InternalCheckError):
             hom_complex(cubic_mf, cubic_mf)
+        assert len(blocks) == 4
+
+    @pytest.mark.parametrize("damage", [
+        lambda terms: terms[1:],
+        lambda terms: terms + [terms[0][:2] + ((5, 5), 1)],
+        lambda terms: [(terms[0][0] + 1,) + terms[0][1:]] + terms[1:],
+    ], ids=["dropped", "added", "moved"])
+    def test_missing_extra_or_moved_term_is_caught(self, cubic_mf, monkeypatch, damage):
+        self.corrupt_block(monkeypatch, damage)
+        with pytest.raises(InternalCheckError):
+            hom_complex(cubic_mf, cubic_mf)
+
+    @pytest.mark.parametrize("index, flip", [(0, 1), (2, 2)], ids=["M(x)I", "I(x)M^T"])
+    def test_term_moved_off_its_identity_entry_is_caught(self, monkeypatch, index, flip):
+        # rank 2 on both sides: flipping a bit of the row index moves a term
+        # from entry (t, t) of its identity factor to (1 - t, t), where the
+        # factor entry it stands for is the same
+        d1 = make_mf("x^3 + y^3", [["x", "-y"], ["y^2", "x^2"]], [["x^2", "y"], ["-y^2", "x"]])
+        self.corrupt_block(monkeypatch, lambda terms: [
+            (terms[0][0] ^ flip,) + terms[0][1:]] + terms[1:], index)
+        with pytest.raises(InternalCheckError):
+            hom_complex(d1, d1)
 
     def test_composite_check_is_live(self, node_mf, monkeypatch):
         # A B = x^2 != x*y: only the d o d = 0 check can catch it now
