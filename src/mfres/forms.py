@@ -242,6 +242,25 @@ class FormMatrix:
         return acc
 
 
+def _product_trace(ms: Sequence[FormMatrix]) -> DifferentialForm:
+    """Trace of the ordered product of nonempty ms. Only the diagonal of the
+    last product is needed: with P the product of all but the last factor
+    M, trace(P M) is the sum over i and k of P[i, k] ^ M[k, i]."""
+    *rest, last = ms
+    if not rest:
+        return last.trace()
+    p = rest[0]
+    for m in rest[1:]:
+        p = p @ m
+    if p.cols != last.rows or p.rows != last.cols:
+        raise ValueError("trace of a non-square product")
+    acc = DifferentialForm.zero(p.ring, p.degree + last.degree)
+    for i in range(p.rows):
+        for k in range(p.cols):
+            acc = acc + wedge(p.entry(i, k), last.entry(k, i))
+    return acc
+
+
 def matrix_form_product_trace(ms: Sequence[FormMatrix],
                               identity_size: int | None = None,
                               ring: Ring | None = None) -> DifferentialForm:
@@ -251,10 +270,7 @@ def matrix_form_product_trace(ms: Sequence[FormMatrix],
             raise ValueError("empty product needs identity_size and ring")
         return DifferentialForm.from_polynomial(
             Polynomial.constant(ring, identity_size))
-    acc = ms[0]
-    for m in ms[1:]:
-        acc = acc @ m
-    return acc.trace()
+    return _product_trace(ms)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +287,9 @@ def chern_character_form(mf) -> DifferentialForm:
     if nvars % 2 != 0:
         raise ParityError("the character form needs an even number of variables")
     p = nvars // 2
-    da = FormMatrix.entrywise_d(mf.A)
-    db = FormMatrix.entrywise_d(mf.B)
-    m = da @ db
-    power = m
-    for _ in range(p - 1):
-        power = power @ m
-    tr = power.trace()
-    return tr.scale(Fraction(2, factorial(nvars)))
+    da, db = FormMatrix.entrywise_d(mf.A), FormMatrix.entrywise_d(mf.B)
+    powers = [da @ db] * (p - 1) if p > 1 else []
+    return _product_trace(powers + [da, db]).scale(Fraction(2, factorial(nvars)))
 
 
 def euler_lemma_check(mf, j: int) -> bool:
@@ -286,15 +297,9 @@ def euler_lemma_check(mf, j: int) -> bool:
     nvars = len(mf.potential.ring)
     if j < 1 or 2 * j > nvars:
         raise ValueError("need 1 <= j and 2j <= number of variables")
-    da = FormMatrix.entrywise_d(mf.A)
-    db = FormMatrix.entrywise_d(mf.B)
-    m = da @ db
-    power = m
-    for _ in range(j - 1):
-        power = power @ m
-    lhs = power.trace().scale(mf.potential)
-    inner = FormMatrix.from_poly_matrix(mf.A) @ db
-    for _ in range(j - 1):
-        inner = inner @ m
-    rhs = wedge(d_polynomial(mf.potential), inner.trace()).scale(j)
+    da, db = FormMatrix.entrywise_d(mf.A), FormMatrix.entrywise_d(mf.B)
+    powers = [da @ db] * (j - 1) if j > 1 else []
+    lhs = _product_trace(powers + [da, db]).scale(mf.potential)
+    inner = _product_trace([FormMatrix.from_poly_matrix(mf.A), db] + powers)
+    rhs = wedge(d_polynomial(mf.potential), inner).scale(j)
     return lhs == rhs

@@ -3,8 +3,8 @@
 Elements of a rank r free module are stored as maps from (component, exponent
 vector) to a coefficient: a Fraction or an int at the public boundary, an int
 inside the core. Monomial orders are global (degrevlex by default, lex on
-request); module terms are compared position over term, with lower component
-index taking priority. Global orders are enough here because the only local
+request); module terms are compared position over term by default, with
+lower component index taking priority. Global orders are enough here because the only local
 question the engine answers, support at the origin, is reduced to nilpotency
 of the variable multiplication operators on a finite quotient.
 
@@ -42,15 +42,34 @@ MAX_COEFFICIENT_BITS, since runaway coefficient growth shows there first.
 
 A term is one int too, packed as Monagan and Pearce pack monomials (CASC
 2007). Fields of FIELD_BITS bits, each topped by a guard bit, hold from the
-top the component as FIELD_LIMIT - 1 - comp, under degrevlex the partial
-sums e_0 + ... + e_j for j = n-1 down to 1, and the exponents e_0 ..
-e_(n-1). So int order is the term order (position over term; under
-degrevlex the degree, then larger partial sums, which is the reverse
-lexicographic tie-break), a product is a sum of ints, and in one component
-a divides b exactly when b - a sets no guard bit. Every term a run forms is
-checked for a set guard bit: a component, exponent or degree that reaches
-FIELD_LIMIT raises BudgetError. Tuples and Fractions remain at the public
-boundary: a run packs its inputs once and unpacks its outputs once.
+bottom the component as FIELD_LIMIT - 1 - comp, the exponents e_(n-1) ..
+e_0, under degrevlex the partial sums e_0 + ... + e_j for j = 1 up to n-1,
+and last an unguarded position field. The term x^a e_c is the int
+lift(c) + mono(a): mono(a), the sum of the a_k times the packed x_k, fills
+the exponent and partial-sum fields, and lift(c), the packed e_c, is an
+offset W_c placed above the component field, plus that field. By default
+W_c is FIELD_LIMIT - 1 - comp in the position field, so int order is
+position over term (under degrevlex then the degree, then larger partial
+sums, which is the reverse lexicographic tie-break). A product is a sum of
+ints, a component is one mask, and in one component a divides b exactly
+when b - a sets no guard bit. Every term a run forms is checked for a set
+guard bit: a component, exponent or degree that reaches FIELD_LIMIT raises
+BudgetError; a degree field holds the degree of W_c plus that of x^a.
+Tuples and Fractions remain at the public boundary: a run packs its inputs
+once and unpacks its outputs once.
+
+Any offsets give a module monomial order, which is all Buchberger's
+algorithm and Macaulay's basis theorem below need: the keys are
+non-negative ints, so every descending chain ends; multiplying two terms by
+x^b adds mono(b) to both ints, which keeps their comparison; and terms of
+two components differ in the component field. Every public output, the
+Groebner bases, normal forms, syzygies, coordinates and standard monomials,
+uses the default offsets and so keeps position over term. Only homology
+counts choose others, since a count of leading terms is the same under
+every order as long as the kernel and the image counted against it share
+one (see below); mf.periodic_homology orders each free term by the leading
+terms of the differential leaving it, and _leading_gap refuses bases under
+two packings.
 
 Syzygies, images, module membership, and coordinates all come from one
 construction: a Groebner basis of the augmented module generated by
@@ -70,8 +89,8 @@ terms in LT(K) but not in LT(I), the monomial modules the leading terms
 generate. A homology dimension ker d / im d' thus needs only the augmented
 bases of d and d', and any other subquotient two plain Groebner bases. The
 count is the same under every order, so these bases are built under
-degrevlex: the order reaches only the outputs that depend on it, the
-Groebner bases, syzygies and coordinates, and the standard monomials.
+degrevlex: the monomial order reaches only the outputs that depend on it,
+the Groebner bases, syzygies and coordinates, and the standard monomials.
 """
 
 from __future__ import annotations
@@ -82,11 +101,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from collections import Counter
-from itertools import product
+from itertools import product, starmap
 from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
-from .errors import BudgetError, ContainmentError, InfiniteQuotientError
+from .errors import BudgetError, ContainmentError, InfiniteQuotientError, InternalCheckError
 from .polyring import Monomial, Polynomial, Ring, degrevlex_key
 
 Term = tuple[int, Monomial]  # (component, exponent vector)
@@ -178,47 +197,93 @@ def vec_to_element(vec: Vec, rank: int, ring: Ring) -> FreeModuleElement:
 # Width of a field of a packed term, whose top bit is its guard.
 FIELD_BITS = 16
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1  # one field; the lowest names a term's component
 _OVERFLOW = f"a component, exponent or degree reaches FIELD_LIMIT = {FIELD_LIMIT}"
 
 
 class _Packing:
-    """Module terms over n variables as ints under one order."""
+    """Module terms over n variables as ints under one module order, the
+    monomial order with an offset per component (see the module docstring):
+    position over term, or the packed e_c given as `lifts`."""
 
     def __init__(self, order: MonomialOrder, nvars: int):
         self.graded = order.name == "degrevlex"
         sums = max(nvars - 1, 0) if self.graded else 0
-        # e_k lies in field n-1-k, the partial sum e_0 + ... + e_j (j >= 1) in field n-1+j
-        self.offsets = [FIELD_BITS * (nvars - 1 - k) for k in range(nvars)]
-        self.weights = [(1 << s) + sum(1 << FIELD_BITS * (nvars - 1 + j)
+        # e_k lies in field n-k, the partial sum e_0 + ... + e_j (j >= 1) in field n+j
+        self.offsets = [FIELD_BITS * (nvars - k) for k in range(nvars)]
+        self.weights = [(1 << s) + sum(1 << FIELD_BITS * (nvars + j)
                                        for j in range(max(k, 1), sums + 1))
                         for k, s in enumerate(self.offsets)]  # x_k packed
-        self.shift = FIELD_BITS * (nvars + sums)  # the component field
-        self.guards = sum(1 << FIELD_BITS * (f + 1) - 1 for f in range(nvars + sums))
+        self.shift = FIELD_BITS * (1 + nvars + sums)  # the position field
+        self.guards = sum(1 << FIELD_BITS * (f + 1) - 1 for f in range(1, 1 + nvars + sums))
+        self.lifts: list[int] | None = None  # None: lift(c) as below
+
+    def lift(self, comp: int) -> int:
+        """The packed e_comp."""
+        if self.lifts is not None:
+            return self.lifts[comp]
+        if comp >= FIELD_LIMIT:
+            raise BudgetError(_OVERFLOW)
+        return (FIELD_LIMIT - 1 - comp) * ((1 << self.shift) + 1)
+
+    def monomial(self, exps: Monomial) -> int:
+        if (sum(exps) if self.graded else max(exps, default=0)) >= FIELD_LIMIT:
+            raise BudgetError(_OVERFLOW)
+        return sum(map(mul, exps, self.weights))
 
     def pack(self, comp: int, exps: Monomial) -> int:
-        if max(comp, sum(exps) if self.graded else max(exps, default=0)) >= FIELD_LIMIT:
+        term = self.lift(comp) + self.monomial(exps)
+        if term & self.guards:
             raise BudgetError(_OVERFLOW)
-        return (FIELD_LIMIT - 1 - comp << self.shift) + sum(map(mul, exps, self.weights))
+        return term
 
     def packer(self):
         """pack for the many terms of one run's inputs: the monomial part of
         each exponent vector is computed and checked once per packer."""
         monomials: dict[Monomial, int] = {}
-        top = FIELD_LIMIT - 1 << self.shift
+        lift, guards = self.lift, self.guards
 
         def pack(comp: int, exps: Monomial) -> int:
             monomial = monomials.get(exps)
             if monomial is None:
-                monomial = monomials[exps] = self.pack(0, exps) - top
-            if comp >= FIELD_LIMIT:
+                monomial = monomials[exps] = self.monomial(exps)
+            term = lift(comp) + monomial
+            if term & guards:
                 raise BudgetError(_OVERFLOW)
-            return top - (comp << self.shift) + monomial
+            return term
 
         return pack
 
     def unpack(self, packed: int) -> Term:
-        return (FIELD_LIMIT - 1 - (packed >> self.shift),
-                tuple(packed >> s & (1 << FIELD_BITS) - 1 for s in self.offsets))
+        comp = FIELD_LIMIT - 1 - (packed & _FIELD)
+        if self.lifts is not None:
+            packed -= self.lifts[comp]
+        return comp, tuple(packed >> s & _FIELD for s in self.offsets)
+
+    def weighted(self, lifts: list[int]) -> _Packing:
+        """This order with the given lifts, a packed e_c each."""
+        if len(lifts) > FIELD_LIMIT:
+            raise BudgetError(_OVERFLOW)
+        packing = object.__new__(_Packing)
+        packing.__dict__.update(self.__dict__, lifts=lifts)
+        return packing
+
+    def induced(self, columns: Sequence[dict]) -> _Packing:
+        """The order on the source of a map, given by its columns, maps
+        (row, exponents) -> coefficient, whose target this packing orders:
+        e_j is lifted to the leading term of column j, its own component in
+        the low field; a zero column lifts it to the bottom, 0."""
+        pack = self.packer()
+        return self.weighted([(max(starmap(pack, column)) & ~_FIELD if column else 0)
+                              | FIELD_LIMIT - 1 - j for j, column in enumerate(columns)])
+
+    def augmented(self, tags: _Packing) -> _Packing:
+        """The order of a tagged run on this packing's module followed by
+        that of `tags`: a bit above every position field raises the first
+        block over all tags, and tag j is component rank + j."""
+        rank, block = len(self.lifts), FIELD_LIMIT << self.shift
+        return self.weighted([lift + block for lift in self.lifts] +
+                             [lift - rank for lift in tags.lifts])
 
 
 _packing = lru_cache(maxsize=16)(_Packing)  # built once per order and variable count
@@ -261,7 +326,9 @@ def _divisor(vec: IntVec, lt: int) -> Divisor:
     g = math.gcd(*vec.values())
     if vec[lt] < 0:
         g = -g
-    return lt, vec[lt] // g, tuple((t, c // g) for t, c in vec.items() if t != lt)
+    # a tuple of a list takes its block from the free list of its size; one of a
+    # generator is resized from ten items, so freed tails would pile up there
+    return lt, vec[lt] // g, tuple([(t, c // g) for t, c in vec.items() if t != lt])
 
 
 def _monic(d: Divisor, packing: _Packing) -> Vec:
@@ -270,10 +337,10 @@ def _monic(d: Divisor, packing: _Packing) -> Vec:
     return {unpack(d[0]): Fraction(1), **{unpack(t): Fraction(c, d[1]) for t, c in d[2]}}
 
 
-def _by_component(divisors: Iterable[Divisor], shift: int) -> Divisors:
+def _by_component(divisors: Iterable[Divisor]) -> Divisors:
     out: Divisors = {}
     for d in divisors:
-        out.setdefault(d[0] >> shift, []).append(d)
+        out.setdefault(d[0] & _FIELD, []).append(d)
     return out
 
 
@@ -291,7 +358,7 @@ def _reduce(vec: IntVec, divisors: Divisors, packing: _Packing) -> tuple[IntVec,
     exactly, so only its tail, shifted by one addition, is subtracted. Terms
     leave in descending order, which is the order of the remainder's keys.
     """
-    shift, guards = packing.shift, packing.guards
+    guards = packing.guards
     work = dict(vec)
     heap = [-t for t in work]
     heapq.heapify(heap)
@@ -304,7 +371,7 @@ def _reduce(vec: IntVec, divisors: Divisors, packing: _Packing) -> tuple[IntVec,
             continue
         if term & guards:  # a shift of the input or of a tail overflowed
             raise BudgetError(_OVERFLOW)
-        for lt, lc, tail in divisors.get(term >> shift, ()):
+        for lt, lc, tail in divisors.get(term & _FIELD, ()):
             if not (step := term - lt) & guards:
                 if coeff % lc:
                     g = math.gcd(coeff, lc)
@@ -389,7 +456,7 @@ def _seeds(vecs: list[Vec], packing: _Packing) -> list[tuple[Divisor, int]]:
 def _buchberger(vecs: list[Vec], ambient_rank: int, packing: _Packing) -> _Basis:
     """Minimal Groebner basis of the submodule generated by vecs, sorted
     descending by leading term; tails are left as the run made them."""
-    shift, guards = packing.shift, packing.guards
+    guards = packing.guards
     basis = _Basis(packing)
     divisors: Divisors = {}  # the same elements, by component
     sugars: list[int] = []
@@ -400,7 +467,7 @@ def _buchberger(vecs: list[Vec], ambient_rank: int, packing: _Packing) -> _Basis
     def insert(d: Divisor, sugar: int) -> None:
         k = len(basis)
         lt = d[0]
-        key = lt >> shift
+        key = lt & _FIELD
         comp, exps = packing.unpack(lt)
         basis.append(d)
         divisors.setdefault(key, []).append(d)
@@ -437,7 +504,7 @@ def _buchberger(vecs: list[Vec], ambient_rank: int, packing: _Packing) -> _Basis
 
     while heap:
         sugar, lcm, i, j = heapq.heappop(heap)
-        if queued[lcm >> shift].pop((i, j), None) is None:
+        if queued[lcm & _FIELD].pop((i, j), None) is None:
             continue  # dropped by criterion B
         h, _ = _reduce(_s_vector(basis[i], basis[j], lcm), divisors, packing)
         if h:
@@ -445,8 +512,8 @@ def _buchberger(vecs: list[Vec], ambient_rank: int, packing: _Packing) -> _Basis
 
     kept: Divisors = {}  # one element per minimal leading term
     for d in sorted(basis, key=itemgetter(0)):
-        if not any(not (d[0] - m[0]) & guards for m in kept.get(d[0] >> shift, ())):
-            kept.setdefault(d[0] >> shift, []).append(d)
+        if not any(not (d[0] - m[0]) & guards for m in kept.get(d[0] & _FIELD, ())):
+            kept.setdefault(d[0] & _FIELD, []).append(d)
     return _Basis(packing, sorted((d for ds in kept.values() for d in ds), key=itemgetter(0),
                                   reverse=True))
 
@@ -458,7 +525,7 @@ def _autoreduce(basis: _Basis) -> _Basis:
     its tail terms, nor any term the reduction brings in, all being smaller.
     """
     packing = basis.packing
-    divisors = _by_component(basis, packing.shift)
+    divisors = _by_component(basis)
     final = _Basis(packing)
     for lt, lc, tail in basis:
         rest, scale = _reduce(dict(tail), divisors, packing)
@@ -523,7 +590,7 @@ def normal_form(x: GenLike, gb: GroebnerBasis) -> FreeModuleElement | Polynomial
         raise ValueError("rank mismatch with basis")
     packing = gb.divisors.packing
     vec, den = _integral(element_to_vec(el), packing.pack)
-    red, scale = _reduce(vec, _by_component(gb.divisors, packing.shift), packing)
+    red, scale = _reduce(vec, _by_component(gb.divisors), packing)
     scale *= den
     out = vec_to_element({packing.unpack(t): Fraction(c, scale) for t, c in red.items()},
                          gb.ambient_rank, el.ring)
@@ -540,39 +607,54 @@ class _AugmentedBasis:
     components dominating tags, for g_i and n_j given as vectors of Q[x]^rank
     with int or Fraction coefficients. The relations n_j carry no tag. By
     elimination the elements led by a tag form a minimal basis of the
-    preimage {c : sum c_i g_i in span n_j}, stored as `kernel` with tags
-    shifted to components 0..k-1: the syzygy module when there are no
-    relations; syzygies() interreduces it alone, since its tails lie in the
-    tag block. The first-block parts of the others form `image`, a minimal
-    basis of the span of the g_i and n_j."""
+    preimage {c : sum c_i g_i in span n_j}, the syzygy module when there are
+    no relations; the first-block parts of the others form a minimal basis of
+    the span of the g_i and n_j. split() takes the two apart; express()
+    reduces against the whole basis.
+
+    The run is ordered position over term unless `_packings` gives (the
+    packing of the run, the packing tag j is re-based into as component j),
+    as periodic_homology does."""
 
     def __init__(self, gens: list[Vec], rank: int, ring: Ring, order: MonomialOrder,
-                 relations: Sequence[Vec] = ()):
+                 relations: Sequence[Vec] = (), _packings: tuple[_Packing, _Packing] | None = None):
         if not gens:
             raise ValueError("need at least one generator")
         self.rank, self.ring, self.count = rank, ring, len(gens)
-        self.packing = packing = _packing(order, len(ring))
+        default = _packing(order, len(ring))
+        self.packing, self.target = _packings or (default, default)
         one = (0,) * len(ring)
         aug = [*relations, *({**g, (rank + i, one): 1} for i, g in enumerate(gens))]
-        basis = _buchberger(aug, rank + self.count, packing)
-        self.divisors = _by_component(basis, packing.shift)
-        # terms from `first` up lie in the first block; adding `tag` takes c to c - rank
-        first, tag = FIELD_LIMIT - self.rank << packing.shift, self.rank << packing.shift
-        self.kernel, self.image = _Basis(packing), _Basis(packing)
-        for lt, lc, tail in basis:
-            if lt < first:
-                self.kernel.append((lt + tag, lc, tuple((t + tag, k) for t, k in tail)))
+        self.basis = _buchberger(aug, rank + self.count, self.packing)
+
+    def split(self) -> tuple[_Basis, _Basis]:
+        """(kernel, image), emptying the basis, each element freed once read:
+        the kernel, whose tails lie in the tag block, re-based into `target`,
+        which adds one int to every term; the image as first-block parts."""
+        rank, basis = self.rank, self.basis
+        rebase = self.target.lift(0) - self.packing.lift(rank)
+        lead = FIELD_LIMIT - rank  # the least component field of the first block
+        kernel, image = _Basis(self.target), _Basis(self.packing)
+        while basis:
+            lt, lc, tail = basis.pop()
+            if (lt & _FIELD) < lead:
+                kernel.append((lt + rebase, lc, tuple([(t + rebase, k) for t, k in tail])))
             else:
-                self.image.append(_divisor({lt: lc, **{t: k for t, k in tail if t >= first}}, lt))
+                image.append(_divisor({lt: lc, **{t: k for t, k in tail if (t & _FIELD) >= lead}},
+                                      lt))
+        kernel.reverse()
+        image.reverse()
+        return kernel, image
 
     def syzygies(self) -> list[FreeModuleElement]:
-        return [vec_to_element(_monic(d, self.packing), self.count, self.ring)
-                for d in _autoreduce(self.kernel)]
+        kernel = self.split()[0]
+        return [vec_to_element(_monic(d, kernel.packing), self.count, self.ring)
+                for d in _autoreduce(kernel)]
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
         vec, den = _integral(element_to_vec(el), self.packing.pack)
-        red, scale = _reduce(vec, self.divisors, self.packing)
+        red, scale = _reduce(vec, _by_component(self.basis), self.packing)
         red = {self.packing.unpack(t): c for t, c in red.items()}
         if any(comp < self.rank for comp, _ in red):
             return None
@@ -655,33 +737,36 @@ def quotient_dimension(gb: GroebnerBasis) -> FiniteQuotientBasis | None:
     return FiniteQuotientBasis(tuple(monomials), len(monomials))
 
 
-def _leading_gap(kernel: list[Divisor], image: list[Divisor]) -> int:
-    """dim over Q of K / I, given minimal degrevlex Groebner bases of I
-    inside K, as the number of terms in LT(K) but not in LT(I).
+def _leading_gap(kernel: _Basis, image: _Basis) -> int:
+    """dim over Q of K / I, given minimal Groebner bases of I inside K under
+    one packing, as the number of terms in LT(K) but not in LT(I).
 
-    First every image element must reduce to zero modulo the kernel, or
-    ContainmentError. Then every variable x_i must act nilpotently on each
-    minimal generator m of LT(K) outside LT(I), some x_i^a m lying in
-    LT(I), or InfiniteQuotientError. Last a walk from those generators, one
-    variable at a time, counts the gap: a term outside LT(I) has all its
-    divisors above m outside LT(I) too, so stopping at LT(I) misses none.
+    Bases under two packings raise InternalCheckError: leading terms under
+    two orders count nothing. Then every image element must reduce to zero
+    modulo the kernel, or ContainmentError. Then every variable x_i must act
+    nilpotently on each minimal generator m of LT(K) outside LT(I), some
+    x_i^a m lying in LT(I), or InfiniteQuotientError. Last a walk from those
+    generators, one variable at a time, counts the gap: a term outside LT(I)
+    has all its divisors above m outside LT(I) too, so stopping at LT(I)
+    misses none.
     """
-    # an empty kernel may be a plain list; with no divisors any packing serves
-    packing = kernel.packing if kernel else _packing(DEGREVLEX, 0)
-    shift, guards = packing.shift, packing.guards
-    divisors = _by_component(kernel, shift)
+    packing = kernel.packing
+    if image.packing is not packing:
+        raise InternalCheckError("kernel and image bases are under different orders")
+    guards = packing.guards
+    divisors = _by_component(kernel)
     for lt, lc, tail in image:
         if _reduce({lt: lc, **dict(tail)}, divisors, packing)[0]:
             raise ContainmentError("image generators are not in the kernel span")
-    walls = _by_component(image, shift)
+    walls = _by_component(image)
 
     def walled(term: int) -> bool:
-        return any(not (term - w[0]) & guards for w in walls.get(term >> shift, ()))
+        return any(not (term - w[0]) & guards for w in walls.get(term & _FIELD, ()))
 
     seen = {lt for lt, _, _ in kernel if not walled(lt)}
     for m in seen:
         exps = packing.unpack(m)[1]
-        bounds = [packing.unpack(w[0])[1] for w in walls.get(m >> shift, ())]
+        bounds = [packing.unpack(w[0])[1] for w in walls.get(m & _FIELD, ())]
         for i in range(len(exps)):
             # x_i^a m is in LT(I) for some a when a wall bounds m off the x_i axis
             if not any(all(a <= b for j, (a, b) in enumerate(zip(w, exps)) if j != i)

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FactorizationError, InternalCheckError
-from .groebner import DEGREVLEX, FreeModuleElement, _AugmentedBasis, _leading_gap, element_to_vec
+from .groebner import (DEGREVLEX, FreeModuleElement, _AugmentedBasis, _Basis, _leading_gap,
+                       _packing, element_to_vec)
 from .polyring import Polynomial, PolyMatrix, Ring, _cleared_product, _cleared_rows, to_string
 
 
@@ -330,11 +331,23 @@ def periodic_homology(d_eo: SparseColumns | PolyMatrix, d_oe: SparseColumns | Po
     a map m acts as m (x) I_s, and the relations of N in each of its m.rows
     target blocks go in as untagged rows: the kernel becomes the preimage of
     the relations, which holds those over the source, and the image takes in
-    the relations over the target. The dimensions do not depend on the term
-    order; the bases are built under degrevlex.
+    the relations over the target.
+
+    The dimensions do not depend on the module order, as long as a kernel
+    and the image it is counted against share one, so each free term gets
+    the order its outgoing differential induces (Schreyer 1980), over
+    degrevlex: F_e, the source of d_eo, orders e_j by the leading term of
+    column j of d_eo, position over term on F_o; F_o orders e_i by the
+    leading term of column i of d_oe in that order on F_e. The run of d_eo
+    has F_o as its first block and F_e as its tags, the run of d_oe the
+    reverse, so ker d_eo (tags of the first run) and im d_oe (first block of
+    the second) are both under F_e's order, and ker d_oe and im d_eo both
+    under F_o's: two runs serve both counts. Tags ordered like their images
+    leave smaller kernel bases and cheaper reductions than position over
+    term.
     """
-    def kernel_and_image(m: SparseColumns):
-        # only these two outlive the run, so one augmented basis is alive at a time
+    def expanded(m: SparseColumns):
+        """(columns, rows, relations) of m acting on the module."""
         columns, rows, relations = list(m.columns), m.rows, []
         if module is not None:
             s = module.ambient_rank
@@ -345,13 +358,24 @@ def periodic_homology(d_eo: SparseColumns | PolyMatrix, d_oe: SparseColumns | Po
             columns = [{(i * s + t, e): c for (i, e), c in column.items()}
                        for column in columns for t in range(s)]
             rows *= s
-        if not columns:
-            return [], []
-        aug = _AugmentedBasis(columns, rows, m.ring, DEGREVLEX, relations)
-        return aug.kernel, aug.image
+        return columns, rows, relations
 
-    ker_eo, im_eo = kernel_and_image(SparseColumns.of(d_eo))
-    ker_oe, im_oe = kernel_and_image(SparseColumns.of(d_oe))
+    d_eo, d_oe = SparseColumns.of(d_eo), SparseColumns.of(d_oe)
+    ring = d_eo.ring if d_eo.cols else d_oe.ring
+    eo, oe = expanded(d_eo), expanded(d_oe)
+    even = _packing(DEGREVLEX, len(ring)).induced(eo[0])
+    odd = even.induced(oe[0])
+    run_eo, run_oe = odd.augmented(even), even.augmented(odd)
+
+    def kernel_and_image(columns, rows, relations, packing, target):
+        # only these two outlive the run, so one augmented basis is alive at a time
+        if not columns:
+            return _Basis(target), _Basis(packing)
+        return _AugmentedBasis(columns, rows, ring, DEGREVLEX, relations,
+                               (packing, target)).split()
+
+    ker_eo, im_eo = kernel_and_image(*eo, run_eo, run_oe)
+    ker_oe, im_oe = kernel_and_image(*oe, run_oe, run_eo)
     return _leading_gap(ker_eo, im_oe), _leading_gap(ker_oe, im_eo)
 
 

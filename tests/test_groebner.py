@@ -19,9 +19,11 @@ from mfres import (
     LEX,
     FreeModuleElement,
     InfiniteQuotientError,
+    InternalCheckError,
     MatrixFactorization,
     PolyMatrix,
     Polynomial,
+    SparseColumns,
     TwoPeriodicComplex,
     cokernel_presentation,
     dual,
@@ -34,6 +36,7 @@ from mfres import (
     jacobian_generators,
     normal_form,
     origin_support_check,
+    periodic_homology,
     quotient_dimension,
     shift,
     subquotient_dimension,
@@ -41,8 +44,8 @@ from mfres import (
     to_string,
     tor_lengths,
 )
-from mfres.groebner import (FIELD_LIMIT, _AugmentedBasis, _autoreduce, _monic, _packing, _seeds,
-                             element_to_vec)
+from mfres.groebner import (FIELD_LIMIT, _FIELD, _AugmentedBasis, _autoreduce, _buchberger,
+                             _leading_gap, _monic, _packing, _seeds, element_to_vec)
 from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly, sparse_to_matrix
 
 
@@ -283,6 +286,42 @@ def test_packing_matches_tuple_terms(case):
 
 
 @st.composite
+def _lifted_terms(draw):
+    """A packing whose three components carry lifts made as the induced
+    orders make them, a packed term with its component field replaced and
+    perhaps the block bit of a tagged run added; terms over them, and a
+    monomial to multiply them by."""
+    order = draw(st.sampled_from([DEGREVLEX, LEX]))
+    nvars = draw(st.integers(1, 3))
+    packing = _packing(order, nvars)
+    small = st.tuples(*[st.integers(0, 40)] * nvars)
+    lifts = [packing.pack(draw(st.integers(0, 3)), draw(small)) & ~_FIELD | FIELD_LIMIT - 1 - c
+             for c in range(3)]
+    lifts = [lift + draw(st.booleans()) * (FIELD_LIMIT << packing.shift) for lift in lifts]
+    terms = st.tuples(st.integers(0, 2), small)
+    return packing.weighted(lifts), draw(st.lists(terms, min_size=2, max_size=6)), draw(small)
+
+
+@given(_lifted_terms())
+@settings(max_examples=200, deadline=None)
+def test_any_lifts_give_a_module_order(case):
+    packing, terms, m = case
+    for s in terms:
+        ps = packing.pack(*s)
+        assert packing.unpack(ps) == s
+        sm = packing.pack(s[0], tuple(a + b for a, b in zip(s[1], m)))
+        assert sm > ps or not any(m)  # a term is below each of its multiples
+        for t in terms:
+            pt = packing.pack(*t)
+            assert (ps == pt) == (s == t)
+            # multiplying both terms by one monomial keeps their order
+            tm = packing.pack(t[0], tuple(a + b for a, b in zip(t[1], m)))
+            assert (ps < pt) == (sm < tm)
+            packed_divides = (ps & _FIELD) == (pt & _FIELD) and not (pt - ps) & packing.guards
+            assert packed_divides == (s[0] == t[0] and all(a <= b for a, b in zip(s[1], t[1])))
+
+
+@st.composite
 def _seed_lists(draw):
     """Vectors of Q[x, y]^2 with duplicates and rescaled copies among them."""
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -362,6 +401,21 @@ class TestFieldOverflow:
         seed = Polynomial(XY, {(1, 0): 1, (0, FIELD_LIMIT - 1): 1})
         with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
             groebner_basis([seed, poly("x*y")], LEX)
+
+    def test_induced_offset_degree(self):
+        # F_e is lifted by x^h, the leading term of d_eo, and F_o by the
+        # leading term x^h * x^h of d_oe under F_e's order, whose degree field
+        # reaches the limit before any run starts
+        d = PolyMatrix.from_rows([[Polynomial(XY, {(FIELD_LIMIT // 2, 0): 1})]])
+        with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            periodic_homology(d, d)
+
+    def test_component_index(self):
+        # F_e has one component more than the component field can name
+        wide = SparseColumns(XY, 1, ({(0, (1, 0)): 1},) * (FIELD_LIMIT + 1))
+        tall = SparseColumns(XY, FIELD_LIMIT + 1, ({},))
+        with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
+            periodic_homology(wide, tall)
 
 
 # ---- an independent reference: all-pairs Buchberger with no criteria ----
@@ -720,6 +774,52 @@ class TestMinimalBases:
             assert _homology_outcome(x, y) == want
 
 
+def _position_over_term(packing, columns):
+    """_Packing.induced with every lift the default one: position over term
+    on each free term, as periodic_homology ordered them before."""
+    default = _packing(DEGREVLEX, len(packing.offsets))
+    return packing.weighted([default.lift(j) for j in range(len(columns))])
+
+
+class TestInducedOrders:
+    """periodic_homology orders each free term by the leading terms of the
+    differential leaving it; a kernel and the image it is counted against
+    share one order, and the counts are those of position over term."""
+
+    @given(_factorization_pair())
+    @settings(max_examples=25, deadline=None)
+    def test_homology_equals_that_under_position_over_term(self, pair):
+        # Hom homology, and Tor against coker(A') with its relations
+        x, y = pair
+        want = _homology_outcome(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mfres.groebner._Packing, "induced", _position_over_term)
+            assert _homology_outcome(x, y) == want
+
+    def test_leading_gap_refuses_bases_under_two_orders(self, monkeypatch):
+        # (1) / (x^2, y) has dimension 2 under one packing
+        packing = _packing(DEGREVLEX, 2)
+        whole = _buchberger([{(0, (0, 0)): 1}], 1, packing)
+        walls = [{(0, (2, 0)): 1}, {(0, (0, 1)): 1}]
+        assert _leading_gap(whole, _buchberger(walls, 1, packing)) == 2
+        with pytest.raises(InternalCheckError, match="different orders"):
+            _leading_gap(whole, _buchberger(walls, 1, _packing(LEX, 2)))
+        # in periodic_homology ker d_eo and im d_oe share F_e's order, ker
+        # d_oe and im d_eo F_o's; a kernel against the image of its own run
+        # would mix the two
+        pairs = []
+        monkeypatch.setattr(mfres.mf, "_leading_gap",
+                            lambda kernel, image: pairs.append((kernel, image)) or 0)
+        left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
+        right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
+        homology_dimensions(hom_complex(left, right))
+        (ker_eo, im_oe), (ker_oe, im_eo) = pairs
+        assert (_leading_gap(ker_eo, im_oe), _leading_gap(ker_oe, im_eo)) == (4, 4)
+        for kernel, image in ((ker_eo, im_eo), (ker_oe, im_oe)):
+            with pytest.raises(InternalCheckError, match="different orders"):
+                _leading_gap(kernel, image)
+
+
 class TestWorkCounts:
     """_reduce calls made by fixed inputs: one per S-pair reduced, per element
     interreduced and per membership test; and _buchberger runs. They do not
@@ -792,8 +892,10 @@ class TestWorkCounts:
 
     def test_rank_four_koszul_homology(self, reduce_calls, monkeypatch):
         # two augmented Buchberger runs and one containment check per image
-        # basis element, with nothing interreduced; the syzygy-plus-presentation
-        # route made 679 calls, and interreducing both augmented bases 338
+        # basis element, with nothing interreduced, each free term ordered by
+        # the differential leaving it; the syzygy-plus-presentation route made
+        # 679 calls, interreducing both augmented bases 338, and position over
+        # term on both free terms 198
         left = koszul_rank4(("x", "y", "z"), ("x^2", "y^2", "z^2"))
         right = koszul_rank4(("x^2", "y", "z^2"), ("x", "y^2", "z"))
         c = hom_complex(left, right)
@@ -802,8 +904,49 @@ class TestWorkCounts:
         monkeypatch.setattr(mfres.groebner, "_autoreduce",
                             lambda *args: autoreduced.append(None) or original(*args))
         assert homology_dimensions(c) == (4, 4)
-        assert len(reduce_calls) == 198
+        assert len(reduce_calls) == 183
         assert autoreduced == []
+
+    @staticmethod
+    def _mixed_pair():
+        """The shape of the first pair of the koszul-mixed benchmark: direct
+        sums of two rank-2 Koszul factorizations of x^3 + y^3, splits (1, 1),
+        (2, 2) against (1, 2), (2, 1), each side changed to g A h^-1, h B g^-1
+        with g and h adding c times row i + 1 to row i for each i."""
+        def koszul(k, l):
+            return ([[f"x^{k}", f"y^{l}"], [f"-y^{3 - l}", f"x^{3 - k}"]],
+                    [[f"x^{3 - k}", f"-y^{l}"], [f"y^{3 - l}", f"x^{k}"]])
+
+        def chain(cs):
+            g = g_inv = matrix([[str(int(r == s)) for s in range(4)] for r in range(4)])
+            for i, c in enumerate(cs):
+                step, back = (matrix([[str(k) if (r, s) == (i, i + 1) else str(int(r == s))
+                                       for s in range(4)] for r in range(4)]) for k in (c, -c))
+                g, g_inv = step @ g, g_inv @ back
+            return g, g_inv
+
+        def side(splits, g, h):
+            (a1, b1), (a2, b2) = (koszul(*k) for k in splits)
+            a = matrix([r + ["0", "0"] for r in a1] + [["0", "0"] + r for r in a2])
+            b = matrix([r + ["0", "0"] for r in b1] + [["0", "0"] + r for r in b2])
+            return (MatrixFactorization(poly("x^3 + y^3"), a, b),
+                    MatrixFactorization(poly("x^3 + y^3"), g[0] @ a @ h[1], h[0] @ b @ g[1]))
+
+        (x0, x), (y0, y) = (side(splits, chain(cs), chain(ds)) for splits, cs, ds in (
+            ([(1, 1), (2, 2)], (1, -2, 2), (-1, 1, 2)), ([(1, 2), (2, 1)], (2, 1, -1), (1, -2, -2))))
+        return (x0, y0), (x, y)
+
+    def test_mixed_pair_s_pairs(self, monkeypatch):
+        # the S-pairs the two tagged runs reduce; position over term on both
+        # free terms, the order before, reduced 81
+        (x0, y0), (x, y) = self._mixed_pair()
+        want = homology_dimensions(hom_complex(x0, y0))
+        c = hom_complex(x, y)
+        spairs, original = [], mfres.groebner._s_vector
+        monkeypatch.setattr(mfres.groebner, "_s_vector",
+                            lambda *args: spairs.append(None) or original(*args))
+        assert homology_dimensions(c) == want
+        assert len(spairs) == 58
 
     @pytest.fixture
     def buchberger_runs(self, monkeypatch):
