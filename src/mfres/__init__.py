@@ -27,6 +27,7 @@ from .errors import (
 from .polyring import (
     Polynomial,
     PolyMatrix,
+    SparseColumns,
     differentiate,
     hessian_determinant,
     jacobian_generators,
@@ -62,7 +63,6 @@ from .forms import (
 from .mf import (
     MatrixFactorization,
     ModulePresentation,
-    SparseColumns,
     TwoPeriodicComplex,
     cokernel_presentation,
     dual,
@@ -108,7 +108,7 @@ __all__ = [
     "InfiniteQuotientError", "InternalCheckError", "MfresError",
     "NormalizationError", "ParityError", "PolynomialSyntaxError",
     "RingMismatchError", "SingularityError", "UnknownVariableError",
-    "Polynomial", "PolyMatrix", "differentiate", "hessian_determinant",
+    "Polynomial", "PolyMatrix", "SparseColumns", "differentiate", "hessian_determinant",
     "jacobian_generators", "parse_polynomial", "to_string",
     "DEGREVLEX", "LEX", "FiniteQuotientBasis", "FreeModuleElement",
     "GroebnerBasis", "MonomialOrder", "express_in_terms", "get_order",
@@ -117,7 +117,7 @@ __all__ = [
     "DifferentialForm", "FormMatrix", "chern_character_form", "d_polynomial",
     "euler_lemma_check", "exterior_derivative", "matrix_form_product_trace",
     "wedge",
-    "MatrixFactorization", "ModulePresentation", "SparseColumns", "TwoPeriodicComplex",
+    "MatrixFactorization", "ModulePresentation", "TwoPeriodicComplex",
     "cokernel_presentation", "dual", "hom_complex", "homology_dimensions",
     "periodic_homology", "shift", "tor_lengths", "validate_mf",
     "GramMatrix", "HrrReport", "MilnorAlgebra", "PsdReport",

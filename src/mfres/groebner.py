@@ -238,9 +238,9 @@ class _Packing:
         return term
 
     def packer(self):
-        """pack for the many terms of one run's inputs: the monomial part of
-        each exponent vector is computed and checked once per packer."""
-        monomials: dict[Monomial, int] = {}
+        """pack for many input terms: the monomial part of each exponent vector is
+        computed and checked once per packer, or once per family of weighted copies."""
+        monomials: dict[Monomial, int] = getattr(self, "monomials", {})
         lift, guards = self.lift, self.guards
 
         def pack(comp: int, exps: Monomial) -> int:
@@ -261,11 +261,11 @@ class _Packing:
         return comp, tuple(packed >> s & _FIELD for s in self.offsets)
 
     def weighted(self, lifts: list[int]) -> _Packing:
-        """This order with the given lifts, a packed e_c each."""
+        """This order with the given lifts; its weighted copies share one monomial cache."""
         if len(lifts) > FIELD_LIMIT:
             raise BudgetError(_OVERFLOW)
         packing = object.__new__(_Packing)
-        packing.__dict__.update(self.__dict__, lifts=lifts)
+        packing.__dict__.update({"monomials": {}, **self.__dict__}, lifts=lifts)
         return packing
 
     def induced(self, columns: Sequence[dict]) -> _Packing:

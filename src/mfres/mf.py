@@ -15,14 +15,14 @@ alpha d. Flattening matrix entries row major, vec(M X N) = (M (x) N^T) vec(X),
 turns both differentials into 2 x 2 block matrices of Kronecker products of
 A, B, A', B' with identities (see hom_complex).
 
-Every differential that reaches homology is held as SparseColumns: column j
-maps (row, exponents) to the int numerator of a nonzero term, over one
-denominator common to the whole matrix, since a column scaled alone would
-change the kernel coordinates its tag records. hom_complex places its blocks
-straight from the integer forms validate_mf certified and checks d o d = 0
-without a product: A B = B A = f I and A' B' = B' A' = f I hold on those
-forms, every block is checked to be exactly its Kronecker block, so by the
-mixed product rule each block of either composite is f I - f I = 0.
+validate_mf keeps A and B as the SparseColumns it multiplied out, and every
+route to homology starts there, never from the PolyMatrix again: hom_complex
+places its Kronecker blocks from them and checks d o d = 0 without a product
+(every block is exactly its block of factor entries, so by the mixed product
+rule each block of either composite is f I - f I = 0); tor_lengths passes
+them on as they are, herbrand_difference their transposes. One denominator
+serves a whole matrix, since a column scaled alone would change the kernel
+coordinates its tag records.
 
 One routine, periodic_homology, gives the homology of every two periodic
 complex here: the Hom complex, and the periodic resolution over
@@ -41,7 +41,7 @@ from fractions import Fraction
 from .errors import FactorizationError, InternalCheckError
 from .groebner import (DEGREVLEX, FreeModuleElement, _AugmentedBasis, _Basis, _leading_gap,
                        _packing, element_to_vec)
-from .polyring import Polynomial, PolyMatrix, Ring, _cleared_product, _cleared_rows, to_string
+from .polyring import Polynomial, PolyMatrix, SparseColumns, _cleared_product, to_string
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,8 @@ class MatrixFactorization:
     A: PolyMatrix
     B: PolyMatrix
     label: str = field(default="", compare=False)
-    # A and B cleared of denominators, each as (den, ((i, j, exps, int), ...)),
-    # set by validate_mf once the products pass; hom_complex builds from these
-    certified: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (A, B) as SparseColumns, set by validate_mf once the products pass
+    _forms: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_mf(self)
@@ -66,6 +65,13 @@ class MatrixFactorization:
     @property
     def ring(self):
         return self.potential.ring
+
+    @property
+    def certified(self) -> tuple[SparseColumns, SparseColumns]:
+        """(A, B) as validate_mf certified them; every route to homology reads these."""
+        if self._forms is None:
+            raise InternalCheckError("homology of a factorization that was not certified")
+        return self._forms
 
 
 def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
@@ -81,30 +87,25 @@ def validate_mf(candidate: MatrixFactorization) -> MatrixFactorization:
         raise FactorizationError("potential must be a nonzero polynomial")
     if a.ring != f.ring or b.ring != f.ring:
         raise FactorizationError("matrix entries and potential live in different rings")
-    (da, left), (db, right) = _cleared_rows(a), _cleared_rows(b)
-    den = da * db
-    for name, first, second in (("A*B", left, right), ("B*A", right, left)):
-        for i, j, terms in _off_scalar(first, second, {e: den * c for e, c in f.items()}):
-            got = Polynomial._trusted(f.ring, {e: Fraction(c, den) for e, c in terms.items()})
+    forms = SparseColumns.of(a), SparseColumns.of(b)
+    den = forms[0].den * forms[1].den
+    scalar = {e: den * c for e, c in f.items()}
+    for name, left, right in (("A*B", *forms), ("B*A", *reversed(forms))):
+        wrong = {}  # (i, j) -> the nonzero terms of an entry that is not f or 0
+        for j, column in enumerate(_cleared_product(left, right)):
+            entries = {j: {}}
+            for (i, e), c in column.items():
+                if c:
+                    entries.setdefault(i, {})[e] = c
+            wrong.update(((i, j), t) for i, t in entries.items() if t != (scalar if i == j else {}))
+        if wrong:
+            i, j = min(wrong)  # the first in row major order, not in column order
+            got = Polynomial._trusted(f.ring, {e: Fraction(c, den) for e, c in wrong[i, j].items()})
             raise FactorizationError(
                 f"product {name} mismatch at entry ({i + 1},{j + 1}): "
                 f"expected {to_string(f) if i == j else 0}, found {to_string(got)}")
-    object.__setattr__(candidate, "certified", tuple(
-        (d, tuple((i, j, e, c) for i, row in enumerate(rows) for j, terms in row for e, c in terms))
-        for d, rows in ((da, left), (db, right))))
+    object.__setattr__(candidate, "_forms", forms)
     return candidate
-
-
-def _off_scalar(left, right, c: dict):
-    """(i, j, nonzero terms), row major, at each entry where the product of two
-    _cleared_rows forms differs from c times the identity; c = {} for zero."""
-    for i, acc in enumerate(_cleared_product(left, right)):
-        for j in sorted(acc.keys() | {i}):
-            got, want = acc.get(j, {}), (c if i == j else {})
-            # most entries are zero: test that before collecting nonzero terms
-            terms = {e: k for e, k in got.items() if k} if want or any(got.values()) else {}
-            if terms != want:
-                yield i, j, terms
 
 
 def shift(mf: MatrixFactorization) -> MatrixFactorization:
@@ -151,33 +152,6 @@ def cokernel_presentation(mf: MatrixFactorization) -> ModulePresentation:
 # sparse integer differentials and hom complexes
 
 @dataclass(frozen=True)
-class SparseColumns:
-    """A rows x len(columns) matrix over Q[x]: column j maps (row, exponents)
-    to a nonzero int c, the term c / den * x^exponents of entry (row, j)."""
-
-    ring: Ring
-    rows: int
-    columns: tuple[dict, ...]
-    den: int = 1
-
-    @property
-    def cols(self) -> int:
-        return len(self.columns)
-
-    @staticmethod
-    def of(m: SparseColumns | PolyMatrix) -> SparseColumns:
-        """m itself, or the PolyMatrix m cleared by the lcm of its denominators."""
-        if isinstance(m, SparseColumns):
-            return m
-        den, rows = _cleared_rows(m)
-        columns = [{} for _ in range(m.cols)]
-        for i, row in enumerate(rows):
-            for j, terms in row:
-                columns[j].update(((i, e), c) for e, c in terms)
-        return SparseColumns(m.ring if m.cols else (), m.rows, tuple(columns), den)
-
-
-@dataclass(frozen=True)
 class TwoPeriodicComplex:
     """Two free terms with differentials both ways; composites vanish. The
     differentials are SparseColumns; PolyMatrix ones are converted once, when
@@ -202,19 +176,11 @@ class TwoPeriodicComplex:
         return self.d_even_to_odd.rows
 
     def is_complex(self) -> bool:
-        """Both composites vanish, multiplied out in ints on the rows of the
-        two differentials, building no Polynomial."""
-        eo, oe = (_rows(d) for d in (self.d_even_to_odd, self.d_odd_to_even))
-        return not any(any(_off_scalar(a, b, {})) for a, b in ((oe, eo), (eo, oe)))
-
-
-def _rows(d: SparseColumns) -> list:
-    """The rows of d in the form _cleared_rows gives: [(column, [(exps, int)])]."""
-    rows = [{} for _ in range(d.rows)]
-    for j, column in enumerate(d.columns):
-        for (i, e), c in column.items():
-            rows[i].setdefault(j, []).append((e, c))
-    return [list(row.items()) for row in rows]
+        """Both composites vanish, multiplied out in ints on the columns of
+        the two differentials, building no Polynomial."""
+        eo, oe = self.d_even_to_odd, self.d_odd_to_even
+        return not any(any(column.values()) for m, n in ((oe, eo), (eo, oe))
+                       for column in _cleared_product(m, n))
 
 
 # The blocks of the two Hom differentials of hom_complex's docstring, (row
@@ -227,12 +193,13 @@ _HOM_BLOCKS = (
 )
 
 
-def _kron(terms: tuple, r: int, rp: int, transpose: bool):
+def _kron(m: SparseColumns, r: int, rp: int, transpose: bool):
     """Nonzero terms (row, col, exps, c) of m (x) I_r, or if transpose of
-    I_rp (x) m^T for an r x r matrix m, from the terms (a, b, exps, c) of m."""
-    for a, b, e, c in terms:
-        for t in range(rp if transpose else r):
-            yield (t * r + b, t * r + a, e, c) if transpose else (a * r + t, b * r + t, e, c)
+    I_rp (x) m^T, for an r x r matrix m."""
+    for b, column in enumerate(m.columns):
+        for (a, e), c in column.items():
+            for t in range(rp if transpose else r):
+                yield (t * r + b, t * r + a, e, c) if transpose else (a * r + t, b * r + t, e, c)
 
 
 def _check_kron(d: SparseColumns, blocks: dict, forms, r: int, rp: int) -> None:
@@ -243,9 +210,10 @@ def _check_kron(d: SparseColumns, blocks: dict, forms, r: int, rp: int) -> None:
     half = r * rp
     kron = {}  # block -> (side, {(a, b, exps): the term M[a, b] puts in d})
     for block, (side, factor, sign) in blocks.items():
-        m_den, terms = forms[side][factor]
-        scale = sign * (d.den // m_den)
-        kron[block] = side, {(a, b, e): scale * c for a, b, e, c in terms}
+        m = forms[side][factor]
+        scale = sign * (d.den // m.den)
+        kron[block] = side, {(a, b, e): scale * c for b, column in enumerate(m.columns)
+                             for (a, e), c in column.items()}
     if sum(map(len, d.columns)) != sum(len(m) * (r if side else rp) for side, m in kron.values()):
         raise InternalCheckError("hom differential does not hold its Kronecker blocks")
     for j, column in enumerate(d.columns):
@@ -281,9 +249,9 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
         odd to even: [[A' (x) I_r,   I_r' (x) B^T ], [  I_r' (x) A^T,  B' (x) I_r]]
 
     placed as SparseColumns over one common denominator, the product of the
-    four factors' denominators, from the integer forms validate_mf certified.
+    four factors' denominators, read off the columns validate_mf certified.
     Then d o d = 0 needs no product:
-      - A B = B A = f I and A' B' = B' A' = f I hold on those forms;
+      - A B = B A = f I and A' B' = B' A' = f I hold on those columns;
       - every block is checked to be exactly its Kronecker block above;
       - so by (M (x) N)(M' (x) N') = M M' (x) N N', each diagonal block of
         either composite is M' N' (x) I - I (x) (M N)^T = f I - f I and each
@@ -292,19 +260,17 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
     """
     if left.potential != right.potential:
         raise FactorizationError("factorizations have different potentials")
-    forms = (left.certified, right.certified)
-    if None in forms:
-        raise InternalCheckError("hom complex of a factorization that was not certified")
+    forms = left.certified, right.certified
     r, rp = left.rank, right.rank
     half = r * rp
-    den = forms[0][0][0] * forms[0][1][0] * forms[1][0][0] * forms[1][1][0]
+    den = forms[0][0].den * forms[0][1].den * forms[1][0].den * forms[1][1].den
 
     def differential(blocks: dict) -> SparseColumns:
         columns = [{} for _ in range(2 * half)]
         for (out, inp), (side, factor, sign) in blocks.items():
-            m_den, terms = forms[side][factor]
-            scale = sign * (den // m_den)
-            for row, col, e, c in _kron(terms, r, rp, not side):
+            m = forms[side][factor]
+            scale = sign * (den // m.den)
+            for row, col, e, c in _kron(m, r, rp, not side):
                 columns[inp * half + col][out * half + row, e] = scale * c
         d = SparseColumns(left.ring, 2 * half, tuple(columns), den)
         _check_kron(d, blocks, forms, r, rp)
@@ -395,4 +361,4 @@ def tor_lengths(mf: MatrixFactorization, n_module: ModulePresentation) -> tuple[
     """
     if n_module.potential != mf.potential:
         raise ValueError("factorization and module have different potentials")
-    return periodic_homology(mf.B, mf.A, n_module)
+    return periodic_homology(*reversed(mf.certified), n_module)

@@ -74,7 +74,6 @@ from .groebner import (
 from .mf import (
     MatrixFactorization,
     ModulePresentation,
-    SparseColumns,
     cokernel_presentation,
     hom_complex,
     homology_dimensions,
@@ -84,6 +83,7 @@ from .mf import (
 from .polyring import (
     Polynomial,
     PolyMatrix,
+    SparseColumns,
     hessian_determinant,
     jacobian_generators,
 )
@@ -232,7 +232,7 @@ def herbrand_difference(x: MatrixFactorization, y: MatrixFactorization) -> int:
     """
     if x.potential != y.potential:
         raise FactorizationError("factorizations have different potentials")
-    e_even, e_odd = periodic_homology(x.A.transpose(), x.B.transpose(),
+    e_even, e_odd = periodic_homology(*(m.transpose() for m in x.certified),
                                       cokernel_presentation(y))
     return e_even - e_odd
 

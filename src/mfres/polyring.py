@@ -14,9 +14,9 @@ adjugates). The parser checks fixed budgets on literals, exponents, the
 nesting of parentheses and the powers and products in one text before it
 builds anything large or recurses deeply, and raises BudgetError past them.
 
-PolyMatrix products run on Python ints: each factor is scaled once by the
-lcm of its denominators, entries accumulate as int coefficients, and each
-output term is divided back to a Fraction once.
+SparseColumns is the one integer form of a matrix, int numerators over one
+denominator; _cleared_product multiplies two of them out, for PolyMatrix
+products, the factorization check and the d o d = 0 oracle alike.
 """
 
 from __future__ import annotations
@@ -536,9 +536,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Polynomial, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def column(self, j: int) -> tuple[Polynomial, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
@@ -561,31 +558,22 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols,
                           tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Exact matrix product in int arithmetic: each factor is scaled once
-        by the lcm of its denominators, every output entry is accumulated as a
-        map from monomials to ints, and each output term is divided back once.
-        Zero entries on either side are skipped, so the cost follows the
-        number of nonzero products, not rows * cols * inner."""
+        """Exact product of the two SparseColumns forms by _cleared_product,
+        each output term divided back to a Fraction once. Only nonzero terms
+        meet, so the cost follows the nonzero products, not rows * cols * inner."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         ring = self.ring if self.rows and other.cols else None
-        da, left = _cleared_rows(self)
-        db, right = _cleared_rows(other)
-        den = da * db
-        out = []
-        for acc in _cleared_product(left, right):
-            for j in range(other.cols):
-                terms = acc.get(j, {})
-                out.append(Polynomial._trusted(
-                    ring, {e: Fraction(c, den) for e, c in terms.items() if c}))
-        return PolyMatrix(self.rows, other.cols, tuple(out))
-
-    def scale(self, f) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, tuple(e * f for e in self.entries))
+        left, right = SparseColumns.of(self), SparseColumns.of(other)
+        den = left.den * right.den
+        entries = [[{} for _ in range(other.cols)] for _ in range(self.rows)]
+        for j, column in enumerate(_cleared_product(left, right)):
+            for (i, e), c in column.items():
+                if c:
+                    entries[i][j][e] = Fraction(c, den)
+        return PolyMatrix(self.rows, other.cols,
+                          tuple(Polynomial._trusted(ring, t) for row in entries for t in row))
 
     def determinant(self) -> Polynomial:
         """Exact determinant by Laplace expansion memoized on column subsets."""
@@ -637,26 +625,49 @@ class PolyMatrix:
         return PolyMatrix(n, n, tuple(out))
 
 
-def _cleared_rows(m: PolyMatrix) -> tuple[int, list[list[tuple[int, list[tuple[Monomial, int]]]]]]:
-    """(d, rows) with d the lcm of every denominator in m and rows[i] the
-    nonzero entries of row i of d * m, as (column, [(exponents, int)])."""
-    d = lcm(*(c.denominator for p in m.entries for c in p._terms.values()))
-    return d, [[(j, [(e, c.numerator * (d // c.denominator)) for e, c in p._terms.items()])
-                for j, p in enumerate(m.row(i)) if p]
-               for i in range(m.rows)]
+@dataclass(frozen=True)
+class SparseColumns:
+    """A rows x len(columns) matrix over Q[x] in ints: column j maps (row,
+    exponents) to a nonzero int c, the term c / den * x^exponents of entry
+    (row, j)."""
+
+    ring: Ring
+    rows: int
+    columns: tuple[dict, ...]
+    den: int = 1
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @staticmethod
+    def of(m: SparseColumns | PolyMatrix) -> SparseColumns:
+        """m itself, or the PolyMatrix m cleared by the lcm of its denominators."""
+        if isinstance(m, SparseColumns):
+            return m
+        den = lcm(*(c.denominator for p in m.entries for c in p._terms.values()))
+        columns = tuple({(i, e): c.numerator * (den // c.denominator)
+                         for i, p in enumerate(m.entries[j::m.cols]) for e, c in p._terms.items()}
+                        for j in range(m.cols))
+        return SparseColumns(m.ring if m.entries else (), m.rows, columns, den)
+
+    def transpose(self) -> SparseColumns:
+        columns = [{} for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for (i, e), c in column.items():
+                columns[i][j, e] = c
+        return SparseColumns(self.ring, self.cols, tuple(columns), self.den)
 
 
-def _cleared_product(left, right):
-    """Rows of the product of two _cleared_rows forms: {column: {exps: int}}, zeros kept."""
-    for row in left:
-        acc: dict[int, dict[Monomial, int]] = {}
-        for k, a in row:
-            for j, b in right[k]:
-                terms = acc.setdefault(j, {})
-                for e1, c1 in a:
-                    for e2, c2 in b:
-                        e = tuple(map(add, e1, e2))
-                        terms[e] = terms.get(e, 0) + c1 * c2
+def _cleared_product(left: SparseColumns, right: SparseColumns):
+    """The columns of left.den * right.den * (left @ right), each as
+    {(row, exponents): int}; terms that cancel are kept, as 0."""
+    for column in right.columns:
+        acc: dict[tuple[int, Monomial], int] = {}
+        for (k, e2), c2 in column.items():
+            for (i, e1), c1 in left.columns[k].items():
+                key = i, tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
         yield acc
 
 

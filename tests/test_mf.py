@@ -16,6 +16,7 @@ from mfres import (
     MatrixFactorization,
     Polynomial,
     PolyMatrix,
+    SparseColumns,
     cokernel_presentation,
     dual,
     gram_matrix,
@@ -61,6 +62,10 @@ class TestValidation:
          "product A*B mismatch at entry (1,2): expected 0, found x"),
         ("x^2*y", [["x", "0"], ["0", "x*y"]], [["x*y", "0"], ["1", "x"]],
          "product A*B mismatch at entry (2,1): expected 0, found x*y"),
+        # (1,2) and (2,1) are both wrong: the product runs column by column,
+        # but the message names the first wrong entry in row major order
+        ("x*y", [["x", "1"], ["1", "y"]], [["y", "0"], ["0", "x"]],
+         "product A*B mismatch at entry (1,2): expected 0, found x"),
     ])
     def test_rejects_mismatch_with_exact_message(self, f, a, b, message):
         with pytest.raises(FactorizationError) as info:
@@ -102,6 +107,30 @@ class TestValidatedOnce:
         herbrand_difference(items[0], items[1])
         tor_lengths(items[0], cokernel_presentation(items[1]))
         assert validations == []
+
+    def test_tor_and_ext_clear_no_matrix_again(self, monkeypatch):
+        # both routes read the columns validate_mf certified: SparseColumns.of
+        # is never handed a PolyMatrix after construction
+        x, y = load_corpus(builtin_corpus_dir() / "cubic.json").factorizations[1:]
+        cleared, original = [], SparseColumns.of
+        monkeypatch.setattr(SparseColumns, "of", staticmethod(
+            lambda m: (isinstance(m, PolyMatrix) and cleared.append(m)) or original(m)))
+        assert (x.rank, y.rank) == (1, 2)
+        assert tor_lengths(x, cokernel_presentation(y)) == (1, 1)
+        assert herbrand_difference(x, y) == 0
+        assert cleared == []
+
+    @pytest.mark.parametrize("route", [
+        lambda x, y: tor_lengths(x, cokernel_presentation(y)),
+        lambda x, y: herbrand_difference(x, y),
+    ], ids=["tor", "ext"])
+    def test_tor_and_ext_need_certified_forms(self, node_mf, monkeypatch, route):
+        # as hom_complex does (test_composite_check_is_live), neither route
+        # falls back to clearing the PolyMatrix of an unchecked factorization
+        monkeypatch.setattr(mfres.mf, "validate_mf", lambda mf: mf)
+        bare = MatrixFactorization(node_mf.potential, node_mf.A, node_mf.B)
+        with pytest.raises(InternalCheckError):
+            route(bare, node_mf)
 
 
 class TestInvolutions:

@@ -11,6 +11,7 @@ from mfres import (
     PolyMatrix,
     PolynomialSyntaxError,
     RingMismatchError,
+    SparseColumns,
     UnknownVariableError,
     differentiate,
     hessian_determinant,
@@ -329,6 +330,15 @@ class TestMatmulAgainstNaive:
                 assert got.ring == XY
                 assert got.terms == want[i][j]
                 assert all(type(c) is Fraction for _, c in got.items())
+
+    @given(_factors())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_transpose_matches_the_matrix_transpose(self, factors):
+        # herbrand_difference transposes the certified columns instead of
+        # clearing the transposed PolyMatrix again: both must agree, empty
+        # shapes and denominators included
+        for m in factors:
+            assert SparseColumns.of(m).transpose() == SparseColumns.of(m.transpose())
 
 
 class TestConstructorValidation:
