@@ -38,10 +38,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import BudgetError, CorpusError, MfresError
+from .errors import BudgetError, CorpusError, MfresError, PolynomialSyntaxError
 from .groebner import FreeModuleElement
 from .mf import MatrixFactorization, ModulePresentation
-from .polyring import Polynomial, PolyMatrix, parse_polynomial
+from .polyring import Polynomial, PolyMatrix, _tokenize, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,16 @@ def load_corpus(path: str | Path) -> CorpusFile:
     variables = tuple(_expect(raw, "variables", list, where))
     if not variables or not all(isinstance(v, str) for v in variables):
         raise CorpusError(f"{where}: variables must be a nonempty list of names")
+    for k, variable in enumerate(variables):
+        try:  # a name the parser reads back as itself: one NAME token, all of it
+            valid = _tokenize(variable)[0] == ("NAME", variable, 0)
+        except PolynomialSyntaxError:
+            valid = False
+        if not valid:
+            raise CorpusError(f"{where}: variable {variable!r} is not a name in the "
+                              "polynomial grammar")
+        if variable in variables[:k]:
+            raise CorpusError(f"{where}: variable {variable!r} is listed twice")
     potential = _parse_entry(_expect(raw, "potential", str, where), variables,
                              f"{where} potential")
 

@@ -94,11 +94,6 @@ class DifferentialForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_polynomial(self) -> Polynomial:
-        if self.degree != 0:
-            raise ValueError("only 0-forms convert to polynomials")
-        return self.terms.get((), Polynomial.zero(self.ring))
-
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
             return NotImplemented

@@ -646,10 +646,10 @@ class _AugmentedBasis:
         image.reverse()
         return kernel, image
 
-    def syzygies(self) -> list[FreeModuleElement]:
+    def syzygies(self) -> list[Vec]:
+        """The reduced basis of the kernel, each vector monic over the tags."""
         kernel = self.split()[0]
-        return [vec_to_element(_monic(d, kernel.packing), self.count, self.ring)
-                for d in _autoreduce(kernel)]
+        return [_monic(d, kernel.packing) for d in _autoreduce(kernel)]
 
     def express(self, el: FreeModuleElement) -> list[Polynomial] | None:
         """Coordinates c with el = sum c_i g_i, or None when el is outside."""
@@ -673,11 +673,12 @@ def syzygy_basis(generators: Sequence[GenLike],
     elements = [_to_element(g) for g in generators]
     if not elements:
         return []
-    syzygies = _AugmentedBasis([element_to_vec(e) for e in elements], elements[0].rank,
-                               elements[0].ring, DEGREVLEX).syzygies()
+    ring = elements[0].ring
+    syzygies = [vec_to_element(v, len(elements), ring) for v in _AugmentedBasis(
+        [element_to_vec(e) for e in elements], elements[0].rank, ring, DEGREVLEX).syzygies()]
     if order == DEGREVLEX:
         return syzygies
-    return list(groebner_basis(syzygies, order, len(elements), elements[0].ring).generators)
+    return list(groebner_basis(syzygies, order, len(elements), ring).generators)
 
 
 def express_in_terms(x: GenLike, generators: Sequence[GenLike],

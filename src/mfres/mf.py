@@ -154,9 +154,9 @@ def cokernel_presentation(mf: MatrixFactorization) -> ModulePresentation:
 @dataclass(frozen=True)
 class TwoPeriodicComplex:
     """Two free terms with differentials both ways; composites vanish. The
-    differentials are SparseColumns; PolyMatrix ones are converted once, when
-    the complex is built. The ranks of the terms are read off the shape of
-    d_even_to_odd."""
+    differentials are SparseColumns; this is the one public constructor that
+    takes PolyMatrix ones, built by hand, and converts them once. The ranks
+    of the terms are read off the shape of d_even_to_odd."""
 
     d_even_to_odd: SparseColumns
     d_odd_to_even: SparseColumns
@@ -208,26 +208,23 @@ def _check_kron(d: SparseColumns, blocks: dict, forms, r: int, rp: int) -> None:
     stored terms match distinct terms of the blocks, and d stores as many
     terms as the blocks have: the match is one to one."""
     half = r * rp
-    kron = {}  # block -> (side, {(a, b, exps): the term M[a, b] puts in d})
-    for block, (side, factor, sign) in blocks.items():
-        m = forms[side][factor]
-        scale = sign * (d.den // m.den)
-        kron[block] = side, {(a, b, e): scale * c for b, column in enumerate(m.columns)
-                             for (a, e), c in column.items()}
-    if sum(map(len, d.columns)) != sum(len(m) * (r if side else rp) for side, m in kron.values()):
+    kron = {block: (side, forms[side][factor], sign * (d.den // forms[side][factor].den))
+            for block, (side, factor, sign) in blocks.items()}  # (side, M, scale of M in d)
+    if sum(map(len, d.columns)) != sum(sum(map(len, m.columns)) * (r if side else rp)
+                                       for side, m, _ in kron.values()):
         raise InternalCheckError("hom differential does not hold its Kronecker blocks")
     for j, column in enumerate(d.columns):
         inp, lj = divmod(j, half)
         q, u = divmod(lj, r)
         for (i, e), c in column.items():
             out, li = divmod(i, half)
-            side, want = kron.get((out, inp), (0, {}))
+            side, m, scale = kron.get((out, inp), (0, None, 0))  # scale 0: off the blocks
             p, t = divmod(li, r)
             if side:  # M (x) I_r: entry (a r + t, b r + t) is M[a, b]
-                key = (p, q, e) if t == u else None
+                want = m.columns[q].get((p, e)) if t == u else None
             else:  # I_r' (x) M^T: entry (t r + b, t r + a) is M[a, b]
-                key = (u, t, e) if p == q else None
-            if want.get(key) != c:
+                want = m.columns[t].get((u, e)) if p == q and scale else None
+            if want is None or want * scale != c:
                 raise InternalCheckError(f"hom differential entry ({i}, {j}) is not its "
                                          f"Kronecker entry")
 
@@ -282,18 +279,17 @@ def hom_complex(left: MatrixFactorization, right: MatrixFactorization) -> TwoPer
 # ---------------------------------------------------------------------------
 # homology of two periodic complexes: Hom, and Tor and Ext against a module
 
-def periodic_homology(d_eo: SparseColumns | PolyMatrix, d_oe: SparseColumns | PolyMatrix,
+def periodic_homology(d_eo: SparseColumns, d_oe: SparseColumns,
                       module: ModulePresentation | None = None) -> tuple[int, int]:
     """Exact Q dimensions (ker d_eo / im d_oe, ker d_oe / im d_eo) of a two
     periodic complex, or of the complex tensored with a module N.
 
-    Each differential, as SparseColumns (a PolyMatrix is converted once),
-    goes column by column into one tag-augmented Groebner basis, with no
-    Polynomial or Fraction in between; the common denominator scales the
-    whole map, which changes neither kernel nor image. That basis holds
-    minimal bases of both its kernel and its image, and each dimension is
-    the count of leading terms of a kernel outside the other image, after an
-    exact check that the image lies in the kernel. With N = Q[x]^s / span n_j,
+    Each differential goes column by column into one tag-augmented Groebner
+    basis, with no Polynomial or Fraction in between; the common denominator
+    scales the whole map, which changes neither kernel nor image. That basis
+    holds minimal bases of both its kernel and its image, and each dimension
+    is the count of leading terms of a kernel outside the other image, after
+    an exact check that the image lies in the kernel. With N = Q[x]^s / span n_j,
     a map m acts as m (x) I_s, and the relations of N in each of its m.rows
     target blocks go in as untagged rows: the kernel becomes the preimage of
     the relations, which holds those over the source, and the image takes in
@@ -312,21 +308,21 @@ def periodic_homology(d_eo: SparseColumns | PolyMatrix, d_oe: SparseColumns | Po
     leave smaller kernel bases and cheaper reductions than position over
     term.
     """
+    if module is not None:  # the relations of N, f e_i included, built once
+        s = module.ambient_rank
+        base = [element_to_vec(n) for n in module.relations] + [
+            {(i, e): c for e, c in module.potential.items()} for i in range(s)]
+
     def expanded(m: SparseColumns):
         """(columns, rows, relations) of m acting on the module."""
-        columns, rows, relations = list(m.columns), m.rows, []
-        if module is not None:
-            s = module.ambient_rank
-            base = [element_to_vec(n) for n in module.relations] + [
-                {(i, e): c for e, c in module.potential.items()} for i in range(s)]
-            relations = [{(b * s + k, e): c for (k, e), c in v.items()}
-                         for b in range(rows) for v in base]
-            columns = [{(i * s + t, e): c for (i, e), c in column.items()}
-                       for column in columns for t in range(s)]
-            rows *= s
-        return columns, rows, relations
+        if module is None:
+            return list(m.columns), m.rows, []
+        columns = [{(i * s + t, e): c for (i, e), c in column.items()}
+                   for column in m.columns for t in range(s)]
+        relations = [{(b * s + k, e): c for (k, e), c in v.items()}
+                     for b in range(m.rows) for v in base]
+        return columns, m.rows * s, relations
 
-    d_eo, d_oe = SparseColumns.of(d_eo), SparseColumns.of(d_oe)
     ring = d_eo.ring if d_eo.cols else d_oe.ring
     eo, oe = expanded(d_eo), expanded(d_oe)
     even = _packing(DEGREVLEX, len(ring)).induced(eo[0])

@@ -27,8 +27,9 @@ with ch the trace form from the forms module. hrr_check reports both sides
 exactly.
 
 Theta and Ext. hochster_theta(M, N) is the difference of stable even and
-odd Tor lengths along the two periodic resolution over R = Q[x]/(f) (a
-factorization's own, or one found by syzygy steps). herbrand_difference is
+odd Tor lengths along the two periodic resolution over R = Q[x]/(f): a
+factorization's own, or one found in SparseColumns by syzygy steps from a
+presentation's relations, with no PolyMatrix on the way. herbrand_difference is
 the Ext counterpart, stable Ext^even - Ext^odd of coker(A) against coker(A')
 over R: the Euler pairing's number by a second route, which reads the
 homology of the resolution mapped into coker(A') and never builds the Hom
@@ -61,10 +62,10 @@ from .forms import DifferentialForm, chern_character_form
 from .groebner import (
     DEGREVLEX,
     FiniteQuotientBasis,
-    FreeModuleElement,
     GroebnerBasis,
     MonomialOrder,
     _AugmentedBasis,
+    element_to_vec,
     express_in_terms,
     groebner_basis,
     normal_form,
@@ -284,18 +285,13 @@ def _as_presentation(item: PairingInput) -> ModulePresentation:
     return item
 
 
-def _columns(cols: Sequence[FreeModuleElement], rows: int) -> PolyMatrix:
-    """The matrix with the given columns in Q[x]^rows."""
-    return PolyMatrix(rows, len(cols), tuple(c.components[i] for i in range(rows) for c in cols))
-
-
-def _syzygy_step(d: PolyMatrix, f: Polynomial) -> PolyMatrix:
+def _syzygy_step(d: SparseColumns, f: Polynomial) -> SparseColumns:
     """The next map of the resolution over R: its columns are the canonical
     generators of the syzygies over R of the columns of d, the preimage of
-    f Q[x]^rows in Q[x]^cols."""
-    syz = _AugmentedBasis(list(SparseColumns.of(d).columns), d.rows, d.ring, DEGREVLEX,
+    f Q[x]^rows in Q[x]^cols, monic and then cleared together."""
+    syz = _AugmentedBasis(list(d.columns), d.rows, d.ring, DEGREVLEX,
                           [{(i, e): c for e, c in f.items()} for i in range(d.rows)]).syzygies()
-    return _columns(syz, d.cols)
+    return SparseColumns.cleared(d.ring, d.cols, syz)
 
 
 def hochster_theta(m: PairingInput, n_module: ModulePresentation) -> int:
@@ -317,7 +313,8 @@ def hochster_theta(m: PairingInput, n_module: ModulePresentation) -> int:
     if f != n_module.potential:
         raise MfresError("presentations have different potentials")
 
-    maps = [_columns(m.relations, m.ambient_rank)]  # maps[p-1] = d_p
+    relations = [element_to_vec(r) for r in m.relations]
+    maps = [SparseColumns.cleared(f.ring, m.ambient_rank, relations)]  # maps[p-1] = d_p
     for _ in range(2, _RESOLUTION_CAP + 1):
         if not maps[-1].cols:
             return 0  # resolution terminated; stable Tor vanishes

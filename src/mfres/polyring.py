@@ -9,14 +9,16 @@ exact by construction.
 
 The module also provides the text grammar (rational literals, variables,
 + - * ^, parentheses, no implicit multiplication), derivatives, Jacobian
-generators, and exact determinants of polynomial matrices (Hessians,
-adjugates). The parser checks fixed budgets on literals, exponents, the
-nesting of parentheses and the powers and products in one text before it
-builds anything large or recurses deeply, and raises BudgetError past them.
+generators, and exact determinants of polynomial matrices. The parser
+checks fixed budgets on literals, exponents, the nesting of parentheses and
+the powers and products in one text before it builds anything large or
+recurses deeply, and raises BudgetError past them.
 
 SparseColumns is the one integer form of a matrix, int numerators over one
-denominator; _cleared_product multiplies two of them out, for PolyMatrix
-products, the factorization check and the d o d = 0 oracle alike.
+denominator, into which SparseColumns.cleared clears rational columns (a
+PolyMatrix's, or a theta resolution step's syzygies); _cleared_product
+multiplies two out, for PolyMatrix products, the factorization check and
+the d o d = 0 oracle alike.
 """
 
 from __future__ import annotations
@@ -516,17 +518,6 @@ class PolyMatrix:
             raise ValueError("ragged rows")
         return PolyMatrix(r, c, tuple(p for row in rows for p in row))
 
-    @staticmethod
-    def identity(ring: Sequence[str], n: int) -> "PolyMatrix":
-        one = Polynomial.one(ring)
-        zero = Polynomial.zero(ring)
-        return PolyMatrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def scalar(f: Polynomial, n: int) -> "PolyMatrix":
-        zero = Polynomial.zero(f.ring)
-        return PolyMatrix(n, n, tuple(f if i == j else zero for i in range(n) for j in range(n)))
-
     @property
     def ring(self) -> Ring:
         if not self.entries:
@@ -542,21 +533,6 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.cols, self.rows,
                           tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Exact product of the two SparseColumns forms by _cleared_product,
@@ -606,24 +582,6 @@ class PolyMatrix:
 
         return minor(tuple(range(n)))
 
-    def adjugate(self) -> "PolyMatrix":
-        """Classical adjugate: self @ adjugate == det * identity, exactly."""
-        if self.rows != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return PolyMatrix.identity(self.ring, 1)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                sub = PolyMatrix.from_rows([
-                    [self.entry(r, c) for c in range(n) if c != i]
-                    for r in range(n) if r != j
-                ])
-                cof = sub.determinant()
-                out.append(cof if (i + j) % 2 == 0 else -cof)
-        return PolyMatrix(n, n, tuple(out))
-
 
 @dataclass(frozen=True)
 class SparseColumns:
@@ -641,15 +599,20 @@ class SparseColumns:
         return len(self.columns)
 
     @staticmethod
+    def cleared(ring: Ring, rows: int, columns: Sequence[dict]) -> SparseColumns:
+        """Columns {(row, exponents): Fraction} cleared by the lcm of their denominators."""
+        den = lcm(*(c.denominator for col in columns for c in col.values()))
+        return SparseColumns(ring, rows, tuple({k: c.numerator * (den // c.denominator)
+                                                for k, c in col.items()} for col in columns), den)
+
+    @staticmethod
     def of(m: SparseColumns | PolyMatrix) -> SparseColumns:
-        """m itself, or the PolyMatrix m cleared by the lcm of its denominators."""
+        """m itself, or the PolyMatrix m cleared."""
         if isinstance(m, SparseColumns):
             return m
-        den = lcm(*(c.denominator for p in m.entries for c in p._terms.values()))
-        columns = tuple({(i, e): c.numerator * (den // c.denominator)
-                         for i, p in enumerate(m.entries[j::m.cols]) for e, c in p._terms.items()}
-                        for j in range(m.cols))
-        return SparseColumns(m.ring if m.entries else (), m.rows, columns, den)
+        return SparseColumns.cleared(m.ring if m.entries else (), m.rows, [
+            {(i, e): c for i, p in enumerate(m.entries[j::m.cols]) for e, c in p._terms.items()}
+            for j in range(m.cols)])
 
     def transpose(self) -> SparseColumns:
         columns = [{} for _ in range(self.rows)]

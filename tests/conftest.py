@@ -38,6 +38,36 @@ def sparse_to_matrix(d) -> PolyMatrix:
     return PolyMatrix(d.rows, d.cols, tuple(Polynomial(d.ring, t) for row in terms for t in row))
 
 
+def adjugate(m: PolyMatrix) -> PolyMatrix:
+    """Classical adjugate by cofactors: m @ adjugate(m) == det(m) * identity."""
+    n = m.rows
+    if n == 1:
+        return PolyMatrix(1, 1, (Polynomial.one(m.ring),))
+    out = []
+    for i in range(n):
+        for j in range(n):
+            cof = PolyMatrix.from_rows([[m.entry(r, c) for c in range(n) if c != i]
+                                        for r in range(n) if r != j]).determinant()
+            out.append(cof if (i + j) % 2 == 0 else -cof)
+    return PolyMatrix(n, n, tuple(out))
+
+
+def entrywise(op, m: PolyMatrix, n: PolyMatrix) -> PolyMatrix:
+    """op (operator.add or operator.sub) on the entries of two matrices of one shape."""
+    assert (m.rows, m.cols) == (n.rows, n.cols)
+    return PolyMatrix(m.rows, m.cols, tuple(map(op, m.entries, n.entries)))
+
+
+def is_zero_matrix(m: PolyMatrix) -> bool:
+    return not any(m.entries)
+
+
+def scalar_columns(f: Polynomial, n: int) -> list[FreeModuleElement]:
+    """The columns f e_i of f I_n."""
+    zero = Polynomial.zero(f.ring)
+    return [FreeModuleElement(tuple(f if k == i else zero for k in range(n))) for i in range(n)]
+
+
 def make_mf(potential: str, a_rows, b_rows, variables=XY,
             label: str = "") -> MatrixFactorization:
     return MatrixFactorization(

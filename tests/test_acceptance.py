@@ -52,6 +52,7 @@ from mfres import ratmat
 from mfres.cli import builtin_corpus_dir
 
 from conftest import (
+    adjugate,
     identity,
     intertwiner_basis,
     invert_matrix,
@@ -244,7 +245,7 @@ def random_adjugate_factorization(rng: random.Random, ring,
     det = a.determinant()
     if det.is_zero():
         return None
-    return MatrixFactorization(det, a, a.adjugate())
+    return MatrixFactorization(det, a, adjugate(a))
 
 
 def test_criterion_5_trace_form_lemma():

@@ -458,6 +458,18 @@ class TestErrors:
         assert code == 1
         assert out.startswith("error (CorpusError):")
 
+    @pytest.mark.parametrize("variables", [["x", "x"], ["", "y"], ["1", "y"]])
+    def test_variables_the_grammar_cannot_name(self, capsys, tmp_path, variables):
+        # the potential parses, so without the check the file would load and
+        # every command after validate would fail with a SingularityError
+        path = tmp_path / "vars.json"
+        path.write_text(json.dumps({"name": "vars", "variables": variables,
+                                    "potential": f"{variables[-1]}^2"}))
+        code, env = run_json(capsys, "validate", str(path))
+        assert code == 1
+        assert env["error"]["type"] == "CorpusError"
+        assert f"variable {variables[0]!r} is " in env["error"]["message"]
+
 
 class TestSelftest:
     def test_builtin_corpus_all_pass(self, capsys):

@@ -74,7 +74,7 @@ class TestTraceForms:
     def test_empty_product_is_identity_trace(self):
         tr = matrix_form_product_trace([], identity_size=3, ring=XY)
         assert tr.degree == 0
-        assert tr.as_polynomial() == Polynomial.constant(XY, 3)
+        assert tr.coefficient(()) == Polynomial.constant(XY, 3)
 
     def test_node_character(self, node_mf):
         ch = chern_character_form(node_mf)

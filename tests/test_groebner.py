@@ -45,7 +45,8 @@ from mfres import (
     tor_lengths,
 )
 from mfres.groebner import (FIELD_LIMIT, _FIELD, _AugmentedBasis, _autoreduce, _buchberger,
-                             _leading_gap, _monic, _packing, _seeds, element_to_vec)
+                             _leading_gap, _monic, _packing, _seeds, element_to_vec,
+                             vec_to_element)
 from conftest import XY, XYZ, koszul_rank4, make_mf, make_module, matrix, poly, sparse_to_matrix
 
 
@@ -408,7 +409,7 @@ class TestFieldOverflow:
         # reaches the limit before any run starts
         d = PolyMatrix.from_rows([[Polynomial(XY, {(FIELD_LIMIT // 2, 0): 1})]])
         with pytest.raises(BudgetError, match=f"FIELD_LIMIT = {FIELD_LIMIT}"):
-            periodic_homology(d, d)
+            periodic_homology(SparseColumns.of(d), SparseColumns.of(d))
 
     def test_component_index(self):
         # F_e has one component more than the component field can name
@@ -758,8 +759,9 @@ class TestMinimalBases:
         gb = groebner_basis(augmented, order)
         want = [FreeModuleElement(g.components[rank:])
                 for g, (comp, _) in zip(gb.generators, gb.leading_terms()) if comp >= rank]
-        assert _AugmentedBasis([element_to_vec(g) for g in gens], rank, XY, order,
-                               [element_to_vec(n) for n in relations]).syzygies() == want
+        syzygies = _AugmentedBasis([element_to_vec(g) for g in gens], rank, XY, order,
+                                   [element_to_vec(n) for n in relations]).syzygies()
+        assert [vec_to_element(v, count, XY) for v in syzygies] == want
 
     @given(_factorization_pair())
     @settings(max_examples=25, deadline=None)

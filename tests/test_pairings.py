@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mfres.pairings
+
 from mfres import (
     DEGREVLEX,
     LEX,
@@ -21,6 +23,7 @@ from mfres import (
     PolyMatrix,
     Polynomial,
     SingularityError,
+    SparseColumns,
     chern_character_form,
     chern_milnor_class,
     cokernel_presentation,
@@ -51,7 +54,7 @@ from mfres import (
 from mfres import ratmat
 from mfres.cli import builtin_corpus_dir
 from mfres.pairings import PsdReport
-from conftest import XY, make_mf, make_module, poly
+from conftest import XY, adjugate, make_mf, make_module, poly, scalar_columns
 
 
 def brieskorn_mu_by_staircase(a: int, b: int) -> int:
@@ -196,7 +199,8 @@ class TestExtRoute:
                 items += [mf, shift(mf), dual(mf), shift(dual(mf))]
             for x in items:
                 for y in items:
-                    ext = periodic_homology(x.A.transpose(), x.B.transpose(),
+                    ext = periodic_homology(SparseColumns.of(x.A.transpose()),
+                                            SparseColumns.of(x.B.transpose()),
                                             cokernel_presentation(y))
                     assert ext == homology_dimensions(hom_complex(x, y)), (x.label, y.label)
                     assert herbrand_difference(x, y) == ext[0] - ext[1]
@@ -293,6 +297,38 @@ class TestTheta:
             assert euler_pairing(x_mf, x_mf) == -hochster_theta(x_mf, m)
 
 
+CORPUS_MODULES = {"cubic.json": ("m1", "m2"), "node.json": ("Rx", "Ry")}
+
+
+class TestThetaResolution:
+    """A raw presentation is resolved in SparseColumns, from its relations
+    to the periodic window."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_MODULES))
+    def test_builds_no_poly_matrix(self, monkeypatch, name):
+        corpus = load_corpus(builtin_corpus_dir() / name)
+        modules = [corpus.module(label) for label in CORPUS_MODULES[name]]
+        built, post_init = [], PolyMatrix.__post_init__
+        monkeypatch.setattr(PolyMatrix, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        for m in modules:
+            for n in modules:
+                hochster_theta(m, n)
+        assert built == []
+
+    @pytest.mark.parametrize("name, label", [(name, label) for name in sorted(CORPUS_MODULES)
+                                             for label in CORPUS_MODULES[name]])
+    def test_syzygy_steps_per_corpus_module(self, monkeypatch, name, label):
+        # d_2 and d_3 from d_1, the relations, and d_3 == d_1: a change of
+        # normalisation that moves the periodicity point changes the count
+        m = load_corpus(builtin_corpus_dir() / name).module(label)
+        steps, step = [], mfres.pairings._syzygy_step
+        monkeypatch.setattr(mfres.pairings, "_syzygy_step",
+                            lambda d, f: steps.append(d) or step(d, f))
+        hochster_theta(m, m)
+        assert len(steps) == 2
+
+
 # ---- the route Tor and theta took before periodic_homology ----
 #
 # Each kernel was a syzygy run on the map's columns and the relations,
@@ -349,8 +385,7 @@ def _three_run_theta(m, module, order):
         cols, rows = maps[-1]
         if not cols:
             return 0
-        f_rows = PolyMatrix.scalar(f, rows)
-        heads = _preimage(cols, [FreeModuleElement(f_rows.column(i)) for i in range(rows)], order)
+        heads = _preimage(cols, scalar_columns(f, rows), order)
         maps.append((list(groebner_basis(heads, order).generators) if heads else [], len(cols)))
     p = len(maps) - 2
     lengths = {pos % 2: _three_run_homology(maps[pos - 1][0], maps[pos][0], module, order)
@@ -665,7 +700,7 @@ class TestLemmaOnRandomAdjugatePairs:
             det = a.determinant()
             if det.is_zero():
                 continue
-            mf = MatrixFactorization(det, a, a.adjugate())
+            mf = MatrixFactorization(det, a, adjugate(a))
             assert euler_lemma_check(mf, 1)
             built += 1
 

@@ -19,7 +19,7 @@ from mfres import (
     parse_polynomial,
     to_string,
 )
-from conftest import XY, XYZ, matrix, poly
+from conftest import XY, XYZ, adjugate, matrix, poly
 
 
 class TestParsing:
@@ -247,7 +247,7 @@ class TestPolyMatrix:
     def test_adjugate_identity(self):
         m = matrix([["x + 1", "y"], ["x^2", "y^2 - 3"]])
         det = m.determinant()
-        prod = m @ m.adjugate()
+        prod = m @ adjugate(m)
         for i in range(2):
             for j in range(2):
                 assert prod.entry(i, j) == (det if i == j else Polynomial.zero(XY))
