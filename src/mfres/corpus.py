@@ -23,6 +23,15 @@ expectation records the selftest command replays. Shape:
 All polynomial entries are strings in the parser grammar. Matrices are rows
 of entry strings; module relations are lists of component strings, one list
 per generator, each of ambient_rank components (an integer, at least 1).
+The "check" of an expectation record is one of 11 kinds, each with the
+fields below (? marks an optional one; pairing defaults to euler, j to 1):
+
+    milnor: mu                       chern: item, coordinates or zero: true
+    euler, herbrand, theta: left, right, value      hrr: left, right, chi?
+    gram: pairing?, items, entries   gram_psd: pairing?, items, kernel_dimension?
+    lemma: item, j?                  tor: item, module, value
+    residue: argument, value
+
 Rational values in expectations are strings like "1/9" so the file never
 holds a float. load_corpus validates eagerly and raises CorpusError naming
 the offending field; every factorization is checked against the potential

@@ -359,6 +359,7 @@ def gram_matrix(items: Sequence[PairingInput], pairing: str) -> GramMatrix:
         raise ValueError(f"unknown pairing {pairing!r}")
     if not items:
         raise ValueError("need at least one item")
+    check_gram_size(len(items))
     labels = tuple(it.label or f"item{i}" for i, it in enumerate(items))
     n = len(items)
 
@@ -387,8 +388,9 @@ def gram_matrix(items: Sequence[PairingInput], pairing: str) -> GramMatrix:
     return GramMatrix(labels=labels, pairing=pairing, entries=entries)
 
 
-# largest Gram matrix accepted by is_positive_semidefinite: the elimination
-# and the kernel cost about the cube of the size, more as the entries grow
+# largest Gram matrix that gram_matrix builds (n^2 pairings) and that
+# is_positive_semidefinite accepts: the elimination and the kernel cost about
+# the cube of the size, more as the entries grow
 MAX_GRAM_SIZE = 128
 # and its largest entry in bits: pivots and kernel coordinates are ratios of
 # minors, under MAX_GRAM_SIZE * (MAX_GRAM_ENTRY_BITS + 4) bits by Hadamard

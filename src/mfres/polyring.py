@@ -279,6 +279,7 @@ def to_string(p: Polynomial) -> str:
 # parsing
 
 _OPS = set("+-*^()/")
+_DIGITS = set("0123456789")  # not str.isdigit, which takes "²" and "٣"
 
 # Budgets on polynomial text, each checked before anything large is built:
 # the digits of an integer literal, an exponent, the number of terms the
@@ -315,9 +316,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("NUM", text[i:j], i))
             i = j

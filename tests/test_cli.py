@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +213,18 @@ class TestGramAndPsd:
             "entries": rows,
         }))
         code, env = run_json(capsys, "psd", str(report))
+        assert code == 1
+        assert env["error"] == {
+            "type": "BudgetError",
+            "message": "gram matrix of size 129 exceeds MAX_GRAM_SIZE = 128"}
+
+    # gram_matrix checks MAX_GRAM_SIZE before its first entry: 129 labels once
+    # computed all 129^2 theta pairings for a report that psd then refused
+    def test_gram_size_budget_comes_before_any_entry(self, capsys):
+        start = time.perf_counter()
+        code, env = run_json(capsys, "gram", str(CORPUS / "cubic.json"),
+                             "--pairing", "theta", "--items", ",".join(["m1"] * 129))
+        assert time.perf_counter() - start < 1
         assert code == 1
         assert env["error"] == {
             "type": "BudgetError",
@@ -458,6 +471,18 @@ class TestErrors:
         assert code == 1
         assert out.startswith("error (CorpusError):")
 
+    # str.isdigit once let "²" through to int(), which raised a bare ValueError
+    @pytest.mark.parametrize("command", ["validate", "milnor"])
+    def test_non_ascii_digit_in_potential(self, capsys, tmp_path, command):
+        path = tmp_path / "sup.json"
+        path.write_text(json.dumps({"name": "sup", "variables": ["x", "y"],
+                                    "potential": "x^² + y^2"}))
+        code, env = run_json(capsys, command, str(path))
+        assert code == 1
+        assert env["status"] == "error"
+        assert env["error"]["type"] == "CorpusError"
+        assert env["error"]["message"].endswith("unexpected character '²' (offset 2)")
+
     @pytest.mark.parametrize("variables", [["x", "x"], ["", "y"], ["1", "y"]])
     def test_variables_the_grammar_cannot_name(self, capsys, tmp_path, variables):
         # the potential parses, so without the check the file would load and
@@ -485,6 +510,12 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "60 passed, 0 failed"
 
+    def test_text_output_is_the_golden_file(self, capsys):
+        # every description and note of the built-in corpus, byte for byte
+        code, out = run_cli(capsys, "--format", "text", "selftest")
+        assert code == 0
+        assert out == (DATA / "selftest_builtin.txt").read_text()
+
     def test_empty_directory_warns(self, capsys, tmp_path):
         code, env = run_json(capsys, "selftest", str(tmp_path))
         assert code == 0
@@ -492,14 +523,37 @@ class TestSelftest:
         assert "warning" in env["results"]
 
     def test_failing_expectation_exits_1(self, capsys, tmp_path):
-        # a wrong value, then malformed records that fail as one error line
+        # a wrong value, then malformed records that fail as one error line,
+        # then kinds that name no check: FAIL lines, not errors
         records = [({"check": "milnor", "mu": 99}, False),
                    ({"check": "lemma", "item": "N1", "j": "x"}, True),
                    ({"check": "lemma", "item": "N1", "j": 0}, True),
                    ({"check": "gram", "pairing": "bogus", "items": ["N1"],
                      "entries": [[1]]}, True),
                    ({"check": "gram_psd", "pairing": "euler"}, True),
-                   ({"check": "chern", "item": "N1", "coordinates": 5}, True)]
+                   ({"check": "chern", "item": "N1", "coordinates": 5}, True),
+                   ({"check": "euler", "left": 5, "right": "N1"}, True),
+                   ({"check": "hrr", "left": "N1"}, True),
+                   ({"check": "theta", "left": "N1"}, True),
+                   ({"check": ["euler"]}, False),
+                   ({"check": {"a": 1}}, False),
+                   ({"check": None}, False)]
+        notes = ["found 1",
+                 "lemma needs an integer j, found 'x'",
+                 "need 1 <= j and 2j <= number of variables",
+                 "expectation pairing must be one of euler, theta, signed_theta",
+                 "expectation needs a nonempty list field 'items'",
+                 "expectation field 'coordinates' must be a list",
+                 "expectation needs a string field 'left'",
+                 "expectation needs a string field 'right'",
+                 "expectation needs a string field 'right'",
+                 "unrecognized expectation",
+                 "unrecognized expectation",
+                 "unrecognized expectation"]
+        descriptions = ["milnor mu=99", "lemma (error)", "lemma (error)", "gram (error)",
+                        "gram_psd (error)", "chern (error)", "euler (error)",
+                        "hrr (error)", "theta (error)", "unknown check ['euler']",
+                        "unknown check {'a': 1}", "unknown check None"]
         for k, (record, error) in enumerate(records):
             content = {
                 "name": "wrong",
@@ -514,7 +568,9 @@ class TestSelftest:
             code, env = run_json(capsys, "selftest", str(directory))
             assert code == 1
             assert env["results"]["failed"] == 1
-            assert env["results"]["checks"][0]["description"].endswith("(error)") == error
+            check = env["results"]["checks"][0]
+            assert check["description"].endswith("(error)") == error
+            assert (check["description"], check["note"]) == (descriptions[k], notes[k])
 
 
 class TestTextFormat:

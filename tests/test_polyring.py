@@ -66,6 +66,16 @@ class TestParsing:
         with pytest.raises(PolynomialSyntaxError):
             poly("")
 
+    # digits are ASCII 0-9 only: str.isdigit also takes superscripts, which
+    # int() then refuses, and other scripts' digits, which int() reads
+    @pytest.mark.parametrize("text, offset", [
+        ("x^²", 2), ("x*٣", 2), ("x^2 + ３", 6), ("²", 0), ("x^2²", 3)])
+    def test_non_ascii_digits_are_syntax_errors(self, text, offset):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            poly(text)
+        assert info.value.offset == offset
+        assert f"unexpected character {text[offset]!r}" in str(info.value)
+
 
 class TestParserBudgets:
     """Oversized text is refused before the big object is built."""
